@@ -33,7 +33,7 @@ bench:
 # for the narrative.
 bench-json:
 	$(GO) test -run=NONE -benchmem \
-		-bench='ZeroAllocMask|ParallelMaskAll|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting' \
+		-bench='ZeroAllocMask|ParallelConflictGraph|ParallelPrivateRound|RankMemoAllocation|MaskDigest|PrivateConflictGraph|InternedIntersect|ConflictGraphN300|RankMemoN300|RoundTraceOverhead|ConflictGraphIndexed|IndexCursorRow|RoundSharded|EpochService|BatchedAccounting' \
 		. | $(GO) run ./cmd/benchjson > BENCH_PR8.json
 
 # Diff ns/op and allocs/op between the two most recent committed snapshots.
@@ -67,13 +67,25 @@ audit-snapshot:
 trace-guard:
 	$(GO) test -run TestTraceDisabledAllocationFree -count=1 -v .
 
-# Fail if the zero-allocation benchmarks report any allocations: the masked
+# Fail if a guarded benchmark allocates more than its ceiling. The masked
 # comparison, interned intersection, and index candidate-scan hot paths must
-# stay allocation-free.
+# stay allocation-free (ceiling 0, the default). ALLOC_CEILINGS pins the
+# exact allocs/op of benchmarks that must allocate: the re-armed bidder
+# encode allocates its submission, its channel table, one digest block and
+# one ciphertext block. Those run 100 ops. Everything runs at -cpu=1: with
+# a second P, the runtime's post-GC cleanup goroutine (the testing package
+# forces a GC before each benchmark) can allocate concurrently with the
+# timed op and be billed to it.
+ALLOC_CEILINGS = EncodeRearmed=4
+alloc_gate = awk -v ceilings='$(ALLOC_CEILINGS)' ' \
+	BEGIN { n = split(ceilings, cs, " "); for (i = 1; i <= n; i++) { split(cs[i], kv, "="); max["Benchmark" kv[1]] = kv[2] } } \
+	/^Benchmark/ { name = $$1; sub(/-[0-9]+$$/, "", name); a = $$(NF-1); lim = (name in max) ? max[name] : 0; \
+		if (a+0 > lim+0) { print "allocs/op regression (ceiling " lim "): " $$0; bad = 1 } print } \
+	END { exit bad }'
 alloc-guard:
-	$(GO) test -run=NONE -benchtime=1x -benchmem \
-		-bench='ZeroAllocMask|InternedIntersect|IndexCursorRow' . \
-		| awk '/^Benchmark/ { a = $$(NF-1); if (a+0 != 0) { print "allocs/op regression: " $$0; bad = 1 } print } END { exit bad }'
+	$(GO) test -run=NONE -cpu=1 -benchtime=1x -benchmem \
+		-bench='ZeroAllocMask|InternedIntersect|IndexCursorRow' . | $(alloc_gate)
+	$(GO) test -run=NONE -cpu=1 -benchtime=100x -benchmem -bench='EncodeRearmed' . | $(alloc_gate)
 
 # Workload snapshot of the composed system: N=10000 mixed-density runs of
 # the tile-sharded one-shot round and the epochal service (open-loop

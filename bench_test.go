@@ -943,28 +943,51 @@ func BenchmarkZeroAllocMask(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelMaskAll sweeps worker counts over a batch of prefix
-// families (64 bidders × 16 values), the shape the submission encoders
-// produce.
-func BenchmarkParallelMaskAll(b *testing.B) {
-	m, err := mask.NewMasker(make(mask.Key, 32))
+// BenchmarkEncodeRearmed is the bidder-side encode of the seeded
+// pipeline at N = 3000 bidder scale (8 channels, the mixed workload's
+// disguise policy): each op re-seeds one worker rng with the next bidder's
+// seed, re-arms one BidEncoder and encodes that bidder's bid vector. The
+// allocs/op column is pinned by make alloc-guard.
+func BenchmarkEncodeRearmed(b *testing.B) {
+	const n = 3000
+	p := core.Params{Channels: 8, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 100}
+	ring, err := mask.DeriveKeyRing([]byte("rearm"), p.Channels, 5, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batches := make([][]uint64, 64)
-	for i := range batches {
-		batches[i] = make([]uint64, 16)
-		for j := range batches[i] {
-			batches[i][j] = uint64(i*16 + j)
+	sampler, err := core.NewDisguiseSampler(core.DisguisePolicy{P0: 0.6, Decay: 0.95}, p.BMax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rand.New(rand.NewSource(12))
+	seeds := make([]int64, n)
+	bids := make([][]uint64, n)
+	for i := range bids {
+		seeds[i] = src.Int63()
+		bids[i] = make([]uint64, p.Channels)
+		for r := range bids[i] {
+			if src.Intn(4) > 0 {
+				bids[i][r] = 1 + uint64(src.Int63n(int64(p.BMax)))
+			}
 		}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.ParallelMaskAll(batches, workers)
-			}
-		})
+	rng := rand.New(rand.NewSource(seeds[0]))
+	enc, err := core.NewBidEncoder(p, ring, sampler, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := enc.Encode(bids[0], rng); err != nil { // prime the encoder scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % n
+		rng.Seed(seeds[k])
+		enc.Rearm(sampler, rng)
+		if _, err := enc.Encode(bids[k], rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -1181,9 +1204,10 @@ func conflictSubsN300(b *testing.B) []*core.LocationSubmission {
 }
 
 // BenchmarkConflictGraphN300 is the acceptance-criterion conflict-graph
-// build at N=300, single worker: the map-based predicate (PR 1's
-// representation) against the interned build (dictionary + Bloom
-// quick-reject + sorted-ID merges, including its ingest/interning cost).
+// build at N=300, single worker: the uninterned mask.Set predicate
+// (linear-scan intersections) against the interned build (dictionary +
+// Bloom quick-reject + sorted-ID merges, including its ingest/interning
+// cost).
 func BenchmarkConflictGraphN300(b *testing.B) {
 	subs := conflictSubsN300(b)
 	b.Run("map-sets", func(b *testing.B) {

@@ -26,9 +26,9 @@ type Auctioneer struct {
 	graph   *conflict.Graph
 	workers int
 
-	// noIntern forces every masked set operation back onto the map-based
-	// mask.Set representation (ablation and equivalence tests; results are
-	// identical either way by construction).
+	// noIntern forces every masked set operation back onto mask.Set's
+	// linear scans (the test oracle for ablation and equivalence tests;
+	// results are identical either way by construction).
 	noIntern bool
 
 	// indexed switches conflict-candidate generation onto the inverted
@@ -133,8 +133,8 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 // every worker count, so this knob never changes auction results.
 func (a *Auctioneer) SetWorkers(w int) { a.workers = w }
 
-// DisableInterning switches the auctioneer back to map-based digest sets
-// for every masked operation (ablation benchmarks and equivalence tests).
+// DisableInterning switches the auctioneer back to mask.Set's linear-scan
+// intersections for every masked operation (ablation benchmarks and equivalence tests).
 // Call it before the first ConflictGraph/GE/Allocate use; the lazily
 // built caches are representation-independent, so flipping it later has
 // no effect on answers already memoized.
@@ -166,7 +166,7 @@ type geFactory = func(st *mask.IntersectStats) func(r, i, j int) bool
 // unless noIntern) and returns the comparator factory plus the interned
 // column itself (nil when interning is off) for callers that can exploit
 // digest-set equality directly, like the sharded sort's bid classes.
-// Interned and map-based comparators agree on every pair: CompareGE
+// Interned and uninterned comparators agree on every pair: CompareGE
 // outcomes depend only on digest equality, which interning preserves
 // exactly.
 func (a *Auctioneer) columnGE(r int) (geFactory, []internedChannelBid) {

@@ -35,14 +35,20 @@ type encodeOptions struct {
 	disguise *DisguiseSampler // nil disables disguising even in advanced mode
 }
 
-// BidEncoder turns plaintext bid vectors into submissions. One encoder
-// serves one bidder for one round.
+// BidEncoder turns plaintext bid vectors into submissions. An encoder
+// serves one bidder at a time and is not safe for concurrent use. Rearm
+// hands it to the next bidder, so one encoder per goroutine can encode a
+// whole population while keeping its keyed HMAC states, AES-GCM and
+// prefix scratch.
 type BidEncoder struct {
-	params  Params
-	ring    *mask.KeyRing
-	sealer  *mask.Sealer
-	maskers []*mask.Masker // per channel (advanced) or a single shared entry (basic)
-	opts    encodeOptions
+	params    Params
+	ring      *mask.KeyRing
+	sealer    *mask.Sealer
+	maskers   []*mask.Masker // per channel (advanced) or a single shared entry (basic)
+	opts      encodeOptions
+	w         int      // prefix width of the encoded-value domain
+	domainMax uint64   // top of the encoded-value domain
+	scratch   []uint64 // numericalized prefixes of the set being masked
 }
 
 // NewBidEncoder returns an advanced-scheme encoder. disguise may be nil to
@@ -71,6 +77,11 @@ func newBidEncoder(params Params, ring *mask.KeyRing, opts encodeOptions, rng *r
 		return nil, fmt.Errorf("core: sealer: %w", err)
 	}
 	enc := &BidEncoder{params: params, ring: ring, sealer: sealer, opts: opts}
+	enc.domainMax = params.BMax
+	if opts.advanced {
+		enc.domainMax = params.ScaledMax(ring)
+	}
+	enc.w = prefix.WidthFor(enc.domainMax)
 	if opts.advanced {
 		enc.maskers = make([]*mask.Masker, params.Channels)
 		for r := range enc.maskers {
@@ -90,19 +101,23 @@ func newBidEncoder(params Params, ring *mask.KeyRing, opts encodeOptions, rng *r
 	return enc, nil
 }
 
+// Rearm hands the encoder to the next bidder: its disguise sampler (nil
+// submits honest zeros; basic-scheme encoders never disguise) and the rng
+// that now seeds sealing nonces, with the sealer's nonce counter back at
+// 0. The re-armed encoder encodes exactly what a fresh NewBidEncoder(params,
+// ring, disguise, rng) would.
+func (e *BidEncoder) Rearm(disguise *DisguiseSampler, rng *rand.Rand) {
+	if e.opts.advanced {
+		e.opts.disguise = disguise
+	}
+	e.sealer.Rearm(rng)
+}
+
 func (e *BidEncoder) maskerFor(r int) *mask.Masker {
 	if e.opts.advanced {
 		return e.maskers[r]
 	}
 	return e.maskers[0]
-}
-
-// scaledDomainMax returns the top of the encoded-value domain.
-func (e *BidEncoder) scaledDomainMax() uint64 {
-	if e.opts.advanced {
-		return e.params.ScaledMax(e.ring)
-	}
-	return e.params.BMax
 }
 
 // blind maps a displayed value into its blinded slot:
@@ -115,35 +130,46 @@ func (e *BidEncoder) blind(v uint64, rng *rand.Rand) uint64 {
 }
 
 // Encode converts a plaintext bid vector (one entry per channel, zeros for
-// unavailable channels) into a masked submission.
+// unavailable channels) into a masked submission. The submission's digest
+// sets share one allocation, each with room for its padded size, and its
+// ciphertexts share another.
 func (e *BidEncoder) Encode(bids []uint64, rng *rand.Rand) (*BidSubmission, error) {
 	if len(bids) != e.params.Channels {
 		return nil, fmt.Errorf("core: %d bids for %d channels", len(bids), e.params.Channels)
 	}
+	famLen, rangeLen := prefix.FamilySize(e.w), prefix.MaxCoverSize(e.w)
+	digests := make([]mask.Digest, len(bids)*(famLen+rangeLen))
+	sealed := make([]byte, len(bids)*mask.SealedValueLen)
 	sub := &BidSubmission{Channels: make([]ChannelBid, len(bids))}
 	for r, b := range bids {
 		if b > e.params.BMax {
 			return nil, fmt.Errorf("core: bid %d on channel %d exceeds bmax %d", b, r, e.params.BMax)
 		}
-		cb, err := e.encodeOne(r, b, rng)
-		if err != nil {
-			return nil, err
-		}
-		sub.Channels[r] = cb
+		fam, rset := digests[:0:famLen], digests[famLen:famLen:famLen+rangeLen]
+		digests = digests[famLen+rangeLen:]
+		sub.Channels[r] = e.encodeOne(r, b, fam, rset, sealed[:0:mask.SealedValueLen], rng)
+		sealed = sealed[mask.SealedValueLen:]
 	}
 	return sub, nil
 }
 
-func (e *BidEncoder) encodeOne(r int, b uint64, rng *rand.Rand) (ChannelBid, error) {
-	w := prefix.WidthFor(e.scaledDomainMax())
-	domainMax := e.scaledDomainMax()
-	masker := e.maskerFor(r)
+// maskValue masks, under channel r's key, the prefix family of v into
+// famBuf and the prefix cover of [v, domainMax] into rangeBuf.
+func (e *BidEncoder) maskValue(r int, v uint64, famBuf, rangeBuf []mask.Digest) (fam, rset mask.Set) {
+	m := e.maskerFor(r)
+	e.scratch = prefix.AppendNumericalizedFamily(e.scratch[:0], v, e.w)
+	fam = m.MaskSetInto(famBuf, e.scratch)
+	e.scratch = prefix.AppendNumericalizedCover(e.scratch[:0], v, e.domainMax, e.w)
+	return fam, m.MaskSetInto(rangeBuf, e.scratch)
+}
 
+// encodeOne encodes channel r's bid into the caller's storage: famBuf and
+// rangeBuf for the digest sets, sealBuf for the ciphertext.
+func (e *BidEncoder) encodeOne(r int, b uint64, famBuf, rangeBuf []mask.Digest, sealBuf []byte, rng *rand.Rand) ChannelBid {
 	if !e.opts.advanced {
 		// Basic scheme: encode the raw value directly.
-		fam := masker.MaskSet(prefix.Numericalized(prefix.Family(b, w)))
-		rng2 := masker.MaskSet(prefix.Numericalized(prefix.Cover(b, domainMax, w)))
-		return ChannelBid{Family: fam, Range: rng2, Sealed: e.sealer.SealValue(b)}, nil
+		fam, rset := e.maskValue(r, b, famBuf, rangeBuf)
+		return ChannelBid{Family: fam, Range: rset, Sealed: e.sealer.AppendSealValue(sealBuf, b)}
 	}
 
 	// Advanced scheme (section IV.C steps i–iii).
@@ -170,10 +196,9 @@ func (e *BidEncoder) encodeOne(r int, b uint64, rng *rand.Rand) (ChannelBid, err
 		scaledShown = e.blind(displayed, rng)
 	}
 
-	fam := masker.MaskSet(prefix.Numericalized(prefix.Family(scaledShown, w)))
-	rset := masker.MaskSet(prefix.Numericalized(prefix.Cover(scaledShown, domainMax, w)))
-	rset.PadTo(prefix.MaxCoverSize(w), rng)
-	return ChannelBid{Family: fam, Range: rset, Sealed: e.sealer.SealValue(scaledTrue)}, nil
+	fam, rset := e.maskValue(r, scaledShown, famBuf, rangeBuf)
+	rset.PadTo(prefix.MaxCoverSize(e.w), rng)
+	return ChannelBid{Family: fam, Range: rset, Sealed: e.sealer.AppendSealValue(sealBuf, scaledTrue)}
 }
 
 // CompareGE is the auctioneer's only primitive on masked bids: it reports

@@ -24,16 +24,42 @@ type LocationSubmission struct {
 // integer coordinates the submitted range is [loc − (2λ−1), loc + (2λ−1)],
 // clamped to the coordinate domain.
 func NewLocationSubmission(params Params, ring *mask.KeyRing, pt geo.Point) (*LocationSubmission, error) {
+	enc, err := NewLocationEncoder(params, ring)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Encode(pt)
+}
+
+// LocationEncoder builds masked location submissions on one reusable
+// location masker and prefix scratch, so an encoder per goroutine
+// amortizes the HMAC state across every bidder it encodes. It is not safe
+// for concurrent use; Clone gives each goroutine its own.
+type LocationEncoder struct {
+	params  Params
+	masker  *mask.Masker
+	scratch []uint64
+}
+
+// NewLocationEncoder returns a location encoder under the ring's location
+// key.
+func NewLocationEncoder(params Params, ring *mask.KeyRing) (*LocationEncoder, error) {
 	masker, err := mask.NewMasker(ring.G0)
 	if err != nil {
 		return nil, fmt.Errorf("core: location masker: %w", err)
 	}
-	return newLocationSubmission(params, masker, pt)
+	return &LocationEncoder{params: params, masker: masker}, nil
 }
 
-// newLocationSubmission is NewLocationSubmission against a caller-owned
-// masker, so batch encoders can amortize the HMAC state across bidders.
-func newLocationSubmission(params Params, masker *mask.Masker, pt geo.Point) (*LocationSubmission, error) {
+// Clone returns an independent encoder over the same key and parameters.
+func (e *LocationEncoder) Clone() *LocationEncoder {
+	return &LocationEncoder{params: e.params, masker: e.masker.Clone()}
+}
+
+// Encode is NewLocationSubmission on the encoder's masker. The four sets
+// share one allocation.
+func (e *LocationEncoder) Encode(pt geo.Point) (*LocationSubmission, error) {
+	params := e.params
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,11 +72,24 @@ func newLocationSubmission(params Params, masker *mask.Masker, pt geo.Point) (*L
 	xlo, xhi := geo.ClampRange(pt.X, delta, params.MaxX)
 	ylo, yhi := geo.ClampRange(pt.Y, delta, params.MaxY)
 
+	// All four numericalized sets go into the scratch back to back, so the
+	// digest block is sized exactly.
+	e.scratch = prefix.AppendNumericalizedFamily(e.scratch[:0], pt.X, wx)
+	yf := len(e.scratch)
+	e.scratch = prefix.AppendNumericalizedFamily(e.scratch, pt.Y, wy)
+	xr := len(e.scratch)
+	e.scratch = prefix.AppendNumericalizedCover(e.scratch, xlo, xhi, wx)
+	yr := len(e.scratch)
+	e.scratch = prefix.AppendNumericalizedCover(e.scratch, ylo, yhi, wy)
+	block := make([]mask.Digest, len(e.scratch))
+	set := func(lo, hi int) mask.Set {
+		return e.masker.MaskSetInto(block[lo:lo:hi], e.scratch[lo:hi])
+	}
 	return &LocationSubmission{
-		XFamily: masker.MaskSet(prefix.Numericalized(prefix.Family(pt.X, wx))),
-		YFamily: masker.MaskSet(prefix.Numericalized(prefix.Family(pt.Y, wy))),
-		XRange:  masker.MaskSet(prefix.Numericalized(prefix.Cover(xlo, xhi, wx))),
-		YRange:  masker.MaskSet(prefix.Numericalized(prefix.Cover(ylo, yhi, wy))),
+		XFamily: set(0, yf),
+		YFamily: set(yf, xr),
+		XRange:  set(xr, yr),
+		YRange:  set(yr, len(e.scratch)),
 	}, nil
 }
 
@@ -58,11 +97,12 @@ func newLocationSubmission(params Params, masker *mask.Masker, pt geo.Point) (*L
 // whole population, sharding bidders across at most workers goroutines
 // (≤ 1 runs serially). Location masking draws no randomness, so the result
 // is identical to calling NewLocationSubmission per point in order, for
-// every worker count. Each worker reuses one masker across its bidders.
+// every worker count. Each worker reuses one LocationEncoder across its
+// bidders.
 func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, workers int) ([]*LocationSubmission, error) {
-	masker, err := mask.NewMasker(ring.G0)
+	enc, err := NewLocationEncoder(params, ring)
 	if err != nil {
-		return nil, fmt.Errorf("core: location masker: %w", err)
+		return nil, err
 	}
 	// Duplicate points share one submission: masking is deterministic under
 	// the shared key, so equal points produce byte-identical submissions,
@@ -89,7 +129,7 @@ func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, 
 	workers = mask.Workers(workers, len(upts))
 	if workers <= 1 {
 		for d, pt := range upts {
-			if usubs[d], err = newLocationSubmission(params, masker, pt); err != nil {
+			if usubs[d], err = enc.Encode(pt); err != nil {
 				return nil, fmt.Errorf("core: bidder %d location: %w", first[d], err)
 			}
 		}
@@ -100,9 +140,9 @@ func NewLocationSubmissions(params Params, ring *mask.KeyRing, pts []geo.Point, 
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				local := masker.Clone()
+				local := enc.Clone()
 				for d := w; d < len(upts); d += workers {
-					sub, err := newLocationSubmission(params, local, upts[d])
+					sub, err := local.Encode(upts[d])
 					if err != nil {
 						errs[w] = fmt.Errorf("core: bidder %d location: %w", first[d], err)
 						return

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -60,8 +61,8 @@ func (k Key) Validate() error {
 // Mask path performs no heap allocation. That state makes a single Masker
 // NOT safe for concurrent use: goroutines must not share one. Use Clone to
 // obtain an independent Masker over the same key for each goroutine (the
-// worker-pool paths, e.g. ParallelMaskAll, do exactly that). Construction
-// is still cheap — one HMAC key schedule.
+// worker-pool encoders keep one per goroutine). Construction is still
+// cheap — one HMAC key schedule.
 type Masker struct {
 	key Key
 	mac hash.Hash         // resettable HMAC-SHA256 state
@@ -106,71 +107,95 @@ func (m *Masker) MaskAll(vs []uint64) []Digest {
 	return out
 }
 
-// Set is an unordered collection of digests supporting O(1) membership.
-// The zero value is an empty set ready to use.
+// Set is a collection of distinct digests kept in insertion order. The
+// zero value is an empty set ready to use.
 //
-// Alongside the membership map the set keeps its members in a flat
-// insertion-order slice, so bulk consumers (the auctioneer's interner,
-// batch assemblers, wire encoders) can scan members sequentially instead
-// of paying Go map iteration per element. The two views always hold the
-// same members; Add and PadTo maintain both.
+// Members live in one flat slice, so bulk consumers (the auctioneer's
+// interner, batch assemblers, wire encoders) scan them sequentially and a
+// protocol set costs a single allocation. Protocol sets are small —
+// families w+1, padded covers 2w−2, a couple dozen digests — and dedup,
+// membership and intersection scan linearly up to linearScanMax members.
+// Larger sets (a wire set may carry up to transport.MaxDigestsPerSet
+// digests) dedup and intersect through a temporary map, so an untrusted
+// set costs linear work, never quadratic.
 type Set struct {
-	members map[Digest]struct{}
-	order   []Digest
+	ds []Digest
 }
+
+// linearScanMax is the largest set NewSet, MaskSet and PadTo deduplicate
+// by linear scan (at most linearScanMax²/2 16-byte compares, cheaper than
+// hashing at protocol sizes); Intersects scans linearly while the product
+// of the two sizes stays within linearScanMax².
+const linearScanMax = 64
 
 // NewSet builds a Set from digests, dropping duplicates.
 func NewSet(ds []Digest) Set {
-	s := Set{members: make(map[Digest]struct{}, len(ds)), order: make([]Digest, 0, len(ds))}
+	return Set{ds: dedup(append(make([]Digest, 0, len(ds)), ds...))}
+}
+
+// dedup drops repeated digests from ds in place, keeping each first
+// occurrence in order, and returns the shortened slice.
+func dedup(ds []Digest) []Digest {
+	out := ds[:0]
+	if len(ds) <= linearScanMax {
+		for _, d := range ds {
+			if !contains(out, d) {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	seen := make(map[Digest]struct{}, len(ds))
 	for _, d := range ds {
-		if _, dup := s.members[d]; dup {
+		if _, dup := seen[d]; dup {
 			continue
 		}
-		s.members[d] = struct{}{}
-		s.order = append(s.order, d)
+		seen[d] = struct{}{}
+		out = append(out, d)
 	}
-	return s
+	return out
+}
+
+func contains(ds []Digest, d Digest) bool {
+	for _, x := range ds {
+		if x == d {
+			return true
+		}
+	}
+	return false
 }
 
 // Len reports the number of distinct digests in the set.
-func (s Set) Len() int { return len(s.members) }
+func (s Set) Len() int { return len(s.ds) }
 
-// Contains reports whether d is in the set.
-func (s Set) Contains(d Digest) bool {
-	_, ok := s.members[d]
-	return ok
-}
+// Contains reports whether d is in the set, by linear scan.
+func (s Set) Contains(d Digest) bool { return contains(s.ds, d) }
 
-// Add inserts d into the set.
+// Add inserts d into the set. Each Add scans the members, so large sets
+// are built with NewSet, not one Add at a time.
 func (s *Set) Add(d Digest) {
-	if s.members == nil {
-		s.members = make(map[Digest]struct{})
+	if !s.Contains(d) {
+		s.ds = append(s.ds, d)
 	}
-	if _, dup := s.members[d]; dup {
-		return
-	}
-	s.members[d] = struct{}{}
-	s.order = append(s.order, d)
 }
 
-// Digests returns the members in unspecified order.
+// Digests returns a copy of the members in insertion order.
 func (s Set) Digests() []Digest {
-	return s.AppendDigests(make([]Digest, 0, len(s.members)))
+	return s.AppendDigests(make([]Digest, 0, len(s.ds)))
 }
 
-// AppendDigests appends the members to dst (in unspecified order) and
-// returns the extended slice. Batch assemblers (e.g. the auctioneer's
+// AppendDigests appends the members to dst in insertion order and returns
+// the extended slice. Batch assemblers (e.g. the auctioneer's
 // charge-request builder) use it to collect many sets into one flat
 // allocation.
 func (s Set) AppendDigests(dst []Digest) []Digest {
-	return append(dst, s.order...)
+	return append(dst, s.ds...)
 }
 
 // SortedDigests returns the members in lexicographic byte order. Wire
-// encoders use it so serialized sets are byte-stable across runs (map
-// iteration order is randomized per process); sorting reveals nothing an
-// unordered dump would not, since digests are already key-dependent
-// pseudorandom values.
+// encoders use it so serialized sets are byte-stable and independent of
+// how the set was built; sorting reveals nothing an unordered dump would
+// not, since digests are already key-dependent pseudorandom values.
 func (s Set) SortedDigests() []Digest {
 	ds := s.Digests()
 	SortDigests(ds)
@@ -189,12 +214,24 @@ func SortDigests(ds []Digest) {
 // data: prefix membership verification reduces range queries to exactly
 // this check.
 func (s Set) Intersects(other Set) bool {
-	small, large := s, other
-	if small.Len() > large.Len() {
+	small, large := s.ds, other.ds
+	if len(small) > len(large) {
 		small, large = large, small
 	}
-	for d := range small.members {
-		if large.Contains(d) {
+	if len(small)*len(large) <= linearScanMax*linearScanMax {
+		for _, d := range small {
+			if contains(large, d) {
+				return true
+			}
+		}
+		return false
+	}
+	seen := make(map[Digest]struct{}, len(small))
+	for _, d := range small {
+		seen[d] = struct{}{}
+	}
+	for _, d := range large {
+		if _, ok := seen[d]; ok {
 			return true
 		}
 	}
@@ -206,27 +243,57 @@ func (s Set) Intersects(other Set) bool {
 // which would otherwise leak bid magnitude (section IV.C of the paper: all
 // range covers are padded to 2w-2 elements). Random digests collide with
 // genuine HMAC outputs only with probability 2^-128 per draw, so padding
-// does not perturb intersection results. PadTo is a no-op if the set
-// already has at least target members.
+// does not perturb intersection results. Each draw takes 16 rng.Intn(256)
+// bytes, and a draw that repeats a member is discarded and redrawn. PadTo
+// is a no-op if the set already has at least target members; otherwise it
+// grows the backing slice at most once, and not at all when the set was
+// built with room for target members (MaskSetInto).
 func (s *Set) PadTo(target int, rng *rand.Rand) {
-	if s.members == nil {
-		s.members = make(map[Digest]struct{}, target)
+	if len(s.ds) >= target {
+		return
 	}
-	for len(s.members) < target {
+	s.ds = slices.Grow(s.ds, target-len(s.ds))
+	var seen map[Digest]struct{}
+	if target > linearScanMax {
+		seen = make(map[Digest]struct{}, target)
+		for _, d := range s.ds {
+			seen[d] = struct{}{}
+		}
+	}
+	for len(s.ds) < target {
 		var d Digest
 		for i := range d {
 			d[i] = byte(rng.Intn(256))
 		}
-		if _, dup := s.members[d]; dup {
-			continue
+		if seen == nil {
+			if contains(s.ds, d) {
+				continue
+			}
+		} else {
+			if _, dup := seen[d]; dup {
+				continue
+			}
+			seen[d] = struct{}{}
 		}
-		s.members[d] = struct{}{}
-		s.order = append(s.order, d)
+		s.ds = append(s.ds, d)
 	}
 }
 
 // MaskSet masks all numericalized prefixes in vs and collects them into a
 // Set.
 func (m *Masker) MaskSet(vs []uint64) Set {
-	return NewSet(m.MaskAll(vs))
+	return m.MaskSetInto(make([]Digest, 0, len(vs)), vs)
+}
+
+// MaskSetInto is MaskSet writing the digests into buf's storage (buf is
+// truncated first) instead of a fresh allocation. The returned set owns
+// that storage: callers carve buf from a block they never touch again,
+// and size its capacity for any later PadTo target so the padding
+// appends in place.
+func (m *Masker) MaskSetInto(buf []Digest, vs []uint64) Set {
+	buf = buf[:0]
+	for _, v := range vs {
+		buf = append(buf, m.Mask(v))
+	}
+	return Set{ds: dedup(buf)}
 }

@@ -1,9 +1,6 @@
 package mask
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Workers normalizes a worker-count knob: values below 1 mean "use one
 // worker per available CPU" (runtime.GOMAXPROCS), and the count is capped
@@ -20,35 +17,4 @@ func Workers(requested, items int) int {
 		w = 1
 	}
 	return w
-}
-
-// ParallelMaskAll masks every batch of numericalized prefixes under the
-// masker's key, sharding batches across at most workers goroutines. Each
-// worker runs on its own Clone of the masker, so the zero-alloc steady
-// state is preserved per goroutine. Output order is positional — result[i]
-// is exactly MaskAll(batches[i]) — and therefore independent of the worker
-// count and of goroutine scheduling. workers ≤ 1 runs serially on the
-// receiver itself.
-func (m *Masker) ParallelMaskAll(batches [][]uint64, workers int) [][]Digest {
-	out := make([][]Digest, len(batches))
-	workers = Workers(workers, len(batches))
-	if workers <= 1 {
-		for i, vs := range batches {
-			out[i] = m.MaskAll(vs)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := m.Clone()
-			for i := w; i < len(batches); i += workers {
-				out[i] = local.MaskAll(batches[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
 }

@@ -59,48 +59,6 @@ func TestCloneMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestParallelMaskAllMatchesSerial asserts the worker-pool path is
-// byte-identical to MaskAll for every batch, across batch shapes and
-// worker counts.
-func TestParallelMaskAllMatchesSerial(t *testing.T) {
-	m, err := NewMasker(testKey(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapes := [][]int{{}, {1}, {0, 4, 1}, {8, 8, 8, 8, 8}, {100, 1, 50, 3, 0, 7, 19}}
-	for _, shape := range shapes {
-		batches := make([][]uint64, len(shape))
-		v := uint64(0)
-		for i, n := range shape {
-			batches[i] = make([]uint64, n)
-			for j := range batches[i] {
-				batches[i][j] = v
-				v += 137
-			}
-		}
-		want := make([][]Digest, len(batches))
-		for i, vs := range batches {
-			want[i] = m.MaskAll(vs)
-		}
-		for _, workers := range []int{0, 1, 2, 3, 16} {
-			got := m.ParallelMaskAll(batches, workers)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d: %d batches, want %d", workers, len(got), len(want))
-			}
-			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("workers=%d batch %d: %d digests, want %d", workers, i, len(got[i]), len(want[i]))
-				}
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Errorf("workers=%d batch %d digest %d differs", workers, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestAppendDigestsMatchesDigests checks the allocation-lean collector
 // returns the same members as Digests.
 func TestAppendDigestsMatchesDigests(t *testing.T) {

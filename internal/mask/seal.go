@@ -19,6 +19,7 @@ type Sealer struct {
 	// production constructor uses crypto/rand via KeyRing.
 	nonceRand *rand.Rand
 	counter   uint64
+	pt        [8]byte // plaintext scratch; a stack array would escape through the AEAD interface
 }
 
 // SealedLen is the ciphertext overhead: nonce plus GCM tag.
@@ -62,15 +63,31 @@ func NewSealer(gc Key, rng *rand.Rand) (*Sealer, error) {
 // cr before sealing, because the *decrypted* values the TTP reports back
 // would otherwise let the auctioneer link equal plaintexts.
 func (s *Sealer) SealValue(v uint64) []byte {
-	nonce := make([]byte, sealNonceSize)
+	// Sized for the whole result so Seal appends ciphertext and tag in place.
+	return s.AppendSealValue(make([]byte, 0, SealedValueLen), v)
+}
+
+// AppendSealValue appends SealValue(v) — SealedValueLen bytes — to dst and
+// returns the extended slice; with SealedValueLen bytes of spare capacity
+// in dst it allocates nothing.
+func (s *Sealer) AppendSealValue(dst []byte, v uint64) []byte {
 	// 64-bit counter + 32 random bits: unique within a Sealer and across
 	// the handful of Sealers in one experiment.
+	var nonce [sealNonceSize]byte
 	binary.BigEndian.PutUint64(nonce[:8], s.counter)
 	s.counter++
 	binary.BigEndian.PutUint32(nonce[8:], s.nonceRand.Uint32())
-	var pt [8]byte
-	binary.BigEndian.PutUint64(pt[:], v)
-	return s.aead.Seal(nonce, nonce, pt[:], nil)
+	dst = append(dst, nonce[:]...)
+	binary.BigEndian.PutUint64(s.pt[:], v)
+	return s.aead.Seal(dst, dst[len(dst)-sealNonceSize:], s.pt[:], nil)
+}
+
+// Rearm restarts the nonce sequence for a new owner: the counter returns
+// to 0 and the random nonce bits now come from rng. A re-armed Sealer seals
+// exactly what NewSealer(gc, rng) would, while keeping its AES-GCM state.
+func (s *Sealer) Rearm(rng *rand.Rand) {
+	s.nonceRand = rng
+	s.counter = 0
 }
 
 // OpenValue decrypts and authenticates a ciphertext produced by SealValue.

@@ -145,23 +145,29 @@ func Cover(lo, hi uint64, w int) []Prefix {
 	if lo > hi {
 		panic(fmt.Sprintf("prefix: empty interval [%d,%d]", lo, hi))
 	}
-	// Greedy aligned-block decomposition (the CIDR split): repeatedly take
-	// the largest prefix-aligned block that starts at lo and does not
-	// overshoot hi.
 	cover := make([]Prefix, 0, MaxCoverSize(w))
 	for {
-		wild := trailingZeros(lo, w) // widest block permitted by alignment
-		// Shrink until the block fits inside [lo, hi].
-		for wild > 0 && lo+(1<<wild)-1 > hi {
-			wild--
-		}
+		wild, next, more := coverStep(lo, hi, w)
 		cover = append(cover, Prefix{value: lo >> wild, s: uint8(uint(w) - wild), w: uint8(w)})
-		next := lo + 1<<wild // may wrap only when the cover reached 2^w-1
-		if next > hi || next == 0 {
+		if !more {
 			return cover
 		}
 		lo = next
 	}
+}
+
+// coverStep is one step of the greedy aligned-block decomposition (the
+// CIDR split) behind Cover: the largest prefix-aligned block that starts
+// at lo and does not overshoot hi has wild wildcard bits; more reports
+// whether the cover continues at next.
+func coverStep(lo, hi uint64, w int) (wild uint, next uint64, more bool) {
+	wild = trailingZeros(lo, w) // widest block permitted by alignment
+	// Shrink until the block fits inside [lo, hi].
+	for wild > 0 && lo+(1<<wild)-1 > hi {
+		wild--
+	}
+	next = lo + 1<<wild // may wrap only when the cover reached 2^w-1
+	return wild, next, next <= hi && next != 0
 }
 
 // trailingZeros returns the number of trailing zero bits of x, capped at w.
@@ -202,6 +208,38 @@ func Numericalized(ps []Prefix) []uint64 {
 		out[i] = p.Numericalize()
 	}
 	return out
+}
+
+// AppendNumericalizedFamily appends O(G(x)) — Numericalized(Family(x, w)),
+// in the same order — to dst and returns the extended slice. Encoders pass
+// reused scratch so building a family allocates nothing.
+func AppendNumericalizedFamily(dst []uint64, x uint64, w int) []uint64 {
+	checkWidth(w)
+	checkValue(x, w)
+	for s := w; s >= 0; s-- {
+		dst = append(dst, Prefix{value: x >> (w - s), s: uint8(s), w: uint8(w)}.Numericalize())
+	}
+	return dst
+}
+
+// AppendNumericalizedCover appends O(Q([lo, hi])) —
+// Numericalized(Cover(lo, hi, w)), in the same order — to dst and returns
+// the extended slice, with Cover's panics.
+func AppendNumericalizedCover(dst []uint64, lo, hi uint64, w int) []uint64 {
+	checkWidth(w)
+	checkValue(lo, w)
+	checkValue(hi, w)
+	if lo > hi {
+		panic(fmt.Sprintf("prefix: empty interval [%d,%d]", lo, hi))
+	}
+	for {
+		wild, next, more := coverStep(lo, hi, w)
+		dst = append(dst, Prefix{value: lo >> wild, s: uint8(uint(w) - wild), w: uint8(w)}.Numericalize())
+		if !more {
+			return dst
+		}
+		lo = next
+	}
 }
 
 // WidthFor returns the smallest width w such that max fits in w bits, i.e.

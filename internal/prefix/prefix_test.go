@@ -264,3 +264,57 @@ func TestNumericalizedSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendNumericalizedMatchesSlices pins the append-style builders to
+// Numericalized(Family) and Numericalized(Cover), element for element:
+// exhaustively for small widths, randomly up to MaxWidth. The dst prefix
+// survives and reused scratch allocates nothing.
+func TestAppendNumericalizedMatchesSlices(t *testing.T) {
+	equal := func(a, b []uint64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(w int, x, lo, hi uint64) {
+		dst := []uint64{99}
+		if got := AppendNumericalizedFamily(dst, x, w); got[0] != 99 || !equal(got[1:], Numericalized(Family(x, w))) {
+			t.Fatalf("w=%d x=%d: appended family differs", w, x)
+		}
+		if got := AppendNumericalizedCover(dst, lo, hi, w); got[0] != 99 || !equal(got[1:], Numericalized(Cover(lo, hi, w))) {
+			t.Fatalf("w=%d [%d,%d]: appended cover differs", w, lo, hi)
+		}
+	}
+	for w := 1; w <= 6; w++ {
+		top := uint64(1)<<w - 1
+		for lo := uint64(0); lo <= top; lo++ {
+			for hi := lo; hi <= top; hi++ {
+				check(w, lo, lo, hi)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 2000; trial++ {
+		w := 1 + rng.Intn(MaxWidth)
+		mask := uint64(1)<<w - 1
+		a, b := rng.Uint64()&mask, rng.Uint64()&mask
+		if a > b {
+			a, b = b, a
+		}
+		check(w, rng.Uint64()&mask, a, b)
+	}
+
+	scratch := make([]uint64, 0, 2*MaxWidth)
+	allocs := testing.AllocsPerRun(100, func() {
+		scratch = AppendNumericalizedFamily(scratch[:0], 12345, 20)
+		scratch = AppendNumericalizedCover(scratch[:0], 17, 900000, 20)
+	})
+	if allocs != 0 {
+		t.Errorf("append builders allocate %.1f times into sized scratch, want 0", allocs)
+	}
+}

@@ -1,10 +1,7 @@
 package round
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
-	"time"
 
 	"lppa/internal/core"
 	"lppa/internal/geo"
@@ -22,8 +19,8 @@ type Options struct {
 	// (runtime.GOMAXPROCS); 1 pins everything to the calling goroutine.
 	Workers int
 	// DisableInterning makes the auctioneer evaluate masked set operations
-	// on the map-based mask.Set representation instead of interned ID
-	// slices (DESIGN.md §5b).
+	// on the linear-scan mask.Set oracle instead of interned ID slices
+	// (DESIGN.md §5b).
 	DisableInterning bool
 }
 
@@ -41,172 +38,4 @@ func RunPrivateOpts(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 		o = append(o, WithoutInterning())
 	}
 	return Run(params, ring, Input{Points: points, Bids: bids, Policy: policy, Rng: rng}, o...)
-}
-
-// encodeSubmissions produces every bidder's location and bid submission.
-// Encoding seeds are drawn from rng serially in bidder order before any
-// goroutine starts; bidder i's submissions then depend only on seeds[i],
-// so the striped worker pool yields byte-identical results for every
-// worker count. Shared samplers (bidders with equal policies) are safe:
-// DisguiseSampler.Sample only reads the precomputed CDF.
-func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
-	n := len(points)
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-
-	// Location masking draws no randomness; the parallel batch builder is
-	// output-identical to per-bidder calls.
-	locs, err := core.NewLocationSubmissions(params, ring, points, workers)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-
-	subs := make([]*core.BidSubmission, n)
-	bytesPer := make([]int, n)
-	errs := make([]error, n)
-	encodeOne := func(i int, rngI *rand.Rand) {
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rngI)
-		if err != nil {
-			errs[i] = fmt.Errorf("round: bidder %d encoder: %w", i, err)
-			return
-		}
-		sub, err := enc.Encode(bids[i], rngI)
-		if err != nil {
-			errs[i] = fmt.Errorf("round: bidder %d bids: %w", i, err)
-			return
-		}
-		subs[i] = sub
-		bytesPer[i] = core.SubmissionBytes(sub) + core.LocationBytes(locs[i])
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			encodeOne(i, rand.New(rand.NewSource(seeds[i])))
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += workers {
-					encodeOne(i, rand.New(rand.NewSource(seeds[i])))
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	bytesTotal := 0
-	for _, b := range bytesPer {
-		bytesTotal += b
-	}
-	return locs, subs, bytesTotal, nil
-}
-
-// encodeTolerant is the quorum-mode encoder: per-bidder failures are
-// recorded instead of aborting, and — on the seeded pipeline — bidders
-// that miss the straggler deadline are abandoned (their goroutines finish
-// into a discarded collector slot). Fault-free output is bit-identical to
-// encodeSerial (seeded=false) or encodeSubmissions (seeded=true): the rng
-// is consumed in exactly the same order, and the per-bidder location
-// builder produces the same bytes as the batch builder (location masking
-// draws no randomness).
-func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int, seeded bool, deadline time.Duration,
-) ([]*core.LocationSubmission, []*core.BidSubmission, []int, []error) {
-	n := len(points)
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	bytesPer := make([]int, n)
-	errs := make([]error, n)
-
-	encodeOne := func(i int, rngI *rand.Rand) (*core.LocationSubmission, *core.BidSubmission, int, error) {
-		loc, err := core.NewLocationSubmission(params, ring, points[i])
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d location: %w", i, err)
-		}
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rngI)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d encoder: %w", i, err)
-		}
-		sub, err := enc.Encode(bids[i], rngI)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d bids: %w", i, err)
-		}
-		return loc, sub, core.SubmissionBytes(sub) + core.LocationBytes(loc), nil
-	}
-
-	if !seeded {
-		// Serial shape: one rng threaded through bidders in index order,
-		// exactly like encodeSerial, but a failed bidder is skipped
-		// instead of aborting the population. No deadline here — Run
-		// rejects WithStragglerTimeout on the serial pipeline.
-		for i := 0; i < n; i++ {
-			locs[i], subs[i], bytesPer[i], errs[i] = encodeOne(i, rng)
-		}
-		return locs, subs, bytesPer, errs
-	}
-
-	// Seeded shape: the round rng is consumed serially up front (one seed
-	// per bidder), after which every bidder encodes independently. Results
-	// land in the collector under its lock so a deadline snapshot never
-	// races a straggling worker.
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	var (
-		mu       sync.Mutex
-		done     = make([]bool, n)
-		arrivals = make(chan struct{}, n)
-	)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := w; i < n; i += workers {
-				loc, sub, b, err := encodeOne(i, rand.New(rand.NewSource(seeds[i])))
-				mu.Lock()
-				locs[i], subs[i], bytesPer[i], errs[i] = loc, sub, b, err
-				done[i] = true
-				mu.Unlock()
-				arrivals <- struct{}{}
-			}
-		}(w)
-	}
-	var timeout <-chan time.Time
-	if deadline > 0 {
-		timeout = time.After(deadline)
-	}
-	landed := 0
-collect:
-	for landed < n {
-		select {
-		case <-arrivals:
-			landed++
-		case <-timeout:
-			break collect
-		}
-	}
-	// Snapshot under the lock: stragglers keep encoding into the shared
-	// slices afterwards, but this round only ever reads the copies.
-	mu.Lock()
-	defer mu.Unlock()
-	clocs := make([]*core.LocationSubmission, n)
-	csubs := make([]*core.BidSubmission, n)
-	cbytes := make([]int, n)
-	cerrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		if !done[i] {
-			cerrs[i] = fmt.Errorf("round: bidder %d missed straggler deadline %v", i, deadline)
-			continue
-		}
-		clocs[i], csubs[i], cbytes[i], cerrs[i] = locs[i], subs[i], bytesPer[i], errs[i]
-	}
-	return clocs, csubs, cbytes, cerrs
 }

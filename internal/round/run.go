@@ -229,9 +229,9 @@ func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 }
 
 // WithoutInterning makes the auctioneer evaluate masked set operations on
-// the map-based mask.Set representation instead of interned ID slices
-// (DESIGN.md §5b). Ablation/testing knob: results are identical either
-// way.
+// the slice-backed mask.Set itself — linear scans, the test oracle —
+// instead of interned ID slices (DESIGN.md §5b). Ablation/testing knob:
+// results are identical either way.
 func WithoutInterning() Option {
 	return func(c *runConfig) error {
 		c.noIntern = true
@@ -412,46 +412,6 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 		out[i] = s
 	}
 	return out, nil
-}
-
-// encodeSerial produces every bidder's submissions on the calling
-// goroutine, threading the round rng through bidders in index order — the
-// legacy RunPrivate randomness shape, kept bit-exact for the deprecated
-// wrappers.
-func encodeSerial(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
-	n := len(points)
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	bytesTotal := 0
-	// Location masking draws no randomness and runs under the ring's shared
-	// key, so equal points yield byte-identical immutable submissions —
-	// co-located bidders share one. The bid encoders below still consume
-	// the rng stream bidder by bidder, so the transcript is unchanged.
-	locMemo := make(map[geo.Point]*core.LocationSubmission, n)
-	for i := 0; i < n; i++ {
-		loc := locMemo[points[i]]
-		if loc == nil {
-			var err error
-			loc, err = core.NewLocationSubmission(params, ring, points[i])
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("round: bidder %d location: %w", i, err)
-			}
-			locMemo[points[i]] = loc
-		}
-		locs[i] = loc
-		enc, err := core.NewBidEncoder(params, ring, samplers[i], rng)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d encoder: %w", i, err)
-		}
-		sub, err := enc.Encode(bids[i], rng)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("round: bidder %d bids: %w", i, err)
-		}
-		subs[i] = sub
-		bytesTotal += core.SubmissionBytes(sub) + core.LocationBytes(loc)
-	}
-	return locs, subs, bytesTotal, nil
 }
 
 // tallyCharges folds the TTP's batch verdicts into the outcome: valid

@@ -88,6 +88,33 @@ func tracedGoldenFrames(tb testing.TB) [][]byte {
 	return frames
 }
 
+// duplicateHeavyFrame returns a valid submission frame whose sets repeat
+// digests: the location x family carries 3 distinct digests across 100
+// entries (past mask.Set's linear-scan threshold, so it dedups through the
+// map path), each channel range 2 distinct digests across 40 entries (the
+// linear path). It seeds the fuzzer with the shape a hostile peer uses to
+// probe set rebuilding.
+func duplicateHeavyFrame(tb testing.TB) []byte {
+	tb.Helper()
+	repeat := func(n, distinct int) DigestSet {
+		ds := make(DigestSet, n)
+		for i := range ds {
+			ds[i][0] = byte(1 + i%distinct)
+		}
+		return ds
+	}
+	sub := Submission{BidderID: 1, XFamily: repeat(100, 3), YFamily: repeat(8, 8),
+		XRange: repeat(8, 1), YRange: repeat(8, 8), Channels: make([]WireChannelBid, testParams().Channels)}
+	for r := range sub.Channels {
+		sub.Channels[r] = WireChannelBid{Family: repeat(12, 12), Range: repeat(40, 2), Sealed: make([]byte, 36)}
+	}
+	f, err := EncodeFrame(KindSubmission, sub)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 // FuzzDecodeFrame hammers the frame decoder — the exact bytes an attacker
 // controls — with mutations of every golden frame. The decoder must never
 // panic, and every accepted envelope must decode (or cleanly reject) as
@@ -99,6 +126,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range tracedGoldenFrames(f) {
 		f.Add(frame)
 	}
+	f.Add(duplicateHeavyFrame(f))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
@@ -119,8 +147,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			_ = dec.Decode(&v)
 		case KindSubmission:
 			var v Submission
-			if dec.Decode(&v) == nil {
-				_ = v.Validate(testParams())
+			if dec.Decode(&v) == nil && v.Validate(testParams()) == nil {
+				// An accepted submission must rebuild; dedup never grows a set.
+				loc, bid := v.Parts()
+				if loc.XFamily.Len() > len(v.XFamily) || bid.Channels[0].Range.Len() > len(v.Channels[0].Range) {
+					t.Fatal("rebuilt set larger than its wire form")
+				}
 			}
 		case KindResult:
 			var v Result
@@ -165,6 +197,27 @@ func TestGoldenFramesRoundTrip(t *testing.T) {
 		if dec == nil {
 			t.Fatalf("frame %d: nil payload decoder", i)
 		}
+	}
+}
+
+// TestDuplicateHeavyFrameDedups keeps the duplicate-heavy seed honest: it
+// validates, and rebuilding drops every repeat on both dedup paths.
+func TestDuplicateHeavyFrameDedups(t *testing.T) {
+	_, dec, err := DecodeFrame(duplicateHeavyFrame(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Submission
+	if err := dec.Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(testParams()); err != nil {
+		t.Fatal(err)
+	}
+	loc, bid := s.Parts()
+	if loc.XFamily.Len() != 3 || loc.XRange.Len() != 1 || bid.Channels[0].Range.Len() != 2 {
+		t.Errorf("rebuilt sets have %d/%d/%d members, want 3/1/2",
+			loc.XFamily.Len(), loc.XRange.Len(), bid.Channels[0].Range.Len())
 	}
 }
 

@@ -109,6 +109,69 @@ func TestSubmissionValidateCaps(t *testing.T) {
 	}
 }
 
+// capSubmission returns a submission whose every digest set sits at
+// MaxDigestsPerSet: all-distinct digests, or one digest repeated.
+func capSubmission(channels int, distinct bool) Submission {
+	set := func(salt uint32) DigestSet {
+		ds := make(DigestSet, MaxDigestsPerSet)
+		if distinct {
+			for i := range ds {
+				binary.BigEndian.PutUint32(ds[i][:4], salt)
+				binary.BigEndian.PutUint32(ds[i][4:8], uint32(i))
+			}
+		}
+		return ds
+	}
+	s := Submission{XFamily: set(1), YFamily: set(2), XRange: set(3), YRange: set(4),
+		Channels: make([]WireChannelBid, channels)}
+	for r := range s.Channels {
+		s.Channels[r] = WireChannelBid{Family: set(uint32(10 + 2*r)), Range: set(uint32(11 + 2*r))}
+	}
+	return s
+}
+
+// TestCapSizedWireSetsStayLinear feeds the auctioneer's intake a decoded
+// submission with every set at the digest cap — first all-distinct, then
+// all-identical — and bounds Validate+Parts generously: rebuilding a
+// hostile set must cost linear work, not a quadratic dedup.
+func TestCapSizedWireSetsStayLinear(t *testing.T) {
+	p := testParams()
+	p.Channels = 24 // 52 cap-sized sets, a frame under MaxFrameBytes
+	for _, distinct := range []bool{true, false} {
+		frame, err := EncodeFrame(KindSubmission, capSubmission(p.Channels, distinct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dec, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s Submission
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := s.Validate(p); err != nil {
+			t.Fatalf("distinct=%v: cap-sized submission rejected: %v", distinct, err)
+		}
+		loc, bid := s.Parts()
+		elapsed := time.Since(start)
+		want := 1
+		if distinct {
+			want = MaxDigestsPerSet
+		}
+		if loc.XFamily.Len() != want || bid.Channels[p.Channels-1].Range.Len() != want {
+			t.Errorf("distinct=%v: rebuilt sets have %d/%d members, want %d",
+				distinct, loc.XFamily.Len(), bid.Channels[p.Channels-1].Range.Len(), want)
+		}
+		// Linear intake of the 52 sets takes ~10 ms (~50 ms under -race) on
+		// a 2-core Xeon; a quadratic dedup of the distinct sets ~0.5 s.
+		if elapsed > 300*time.Millisecond {
+			t.Errorf("distinct=%v: Validate+Parts took %v over %d cap-sized sets", distinct, elapsed, 4+2*p.Channels)
+		}
+	}
+}
+
 // TestChargeBatchValidateCaps mirrors the same hardening on the TTP side.
 func TestChargeBatchValidateCaps(t *testing.T) {
 	if err := (ChargeBatch{}).Validate(); err != nil {
