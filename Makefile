@@ -153,9 +153,10 @@ epoch-soak:
 	LPPA_SOAK_FLIGHT_DIR=FLIGHT_EPOCH_SOAK \
 		$(GO) test -race -run TestEpochServiceSoak -count=1 -v ./internal/epoch/
 
-# Reproduce the paper's full evaluation (dataset cached at $(CACHE)).
+# Reproduce the paper's full evaluation into experiments_output.txt
+# (dataset cached at $(CACHE)). The tables are identical at every -workers.
 experiments:
-	$(GO) run ./cmd/lppa-sim -experiment all -cache $(CACHE)
+	$(GO) run ./cmd/lppa-sim -experiment all -cache $(CACHE) > experiments_output.txt
 
 examples:
 	$(GO) run ./examples/quickstart

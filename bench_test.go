@@ -13,6 +13,7 @@ import (
 	cryptorand "crypto/rand"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -1537,9 +1538,28 @@ func BenchmarkEpochService(b *testing.B) {
 		name string
 		opts []round.Option
 	}{
-		{"serial", nil},
+		{"default", nil},
 		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4),
 			round.WithIndexedCandidates()}},
+	}
+	// The optionless variant runs every epoch as WithWorkers(1) would: one
+	// rng shape at every worker count.
+	pts := make([]geo.Point, n)
+	bids := make([][]uint64, n)
+	for i, sub := range subs {
+		pts[i], bids[i] = sub.Point, sub.Bids
+	}
+	var outcomes [2]*auction.Outcome
+	for i, opts := range [][]round.Option{nil, {round.WithWorkers(1)}} {
+		res, err := round.Run(p, ring, round.Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
+			Rng: rand.New(rand.NewSource(epoch.EpochSeed(7, 0)))}, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outcomes[i] = res.Outcome
+	}
+	if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
+		b.Fatal("optionless round differs from WithWorkers(1)")
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

@@ -18,7 +18,7 @@ import (
 // RoundFlags binds the round-shaping flags both commands understand. The
 // struct's field values at Register time are the flag defaults, so each
 // command seeds its own defaults (lppa-sim registers Workers at
-// GOMAXPROCS, lppa-net leaves it serial) before registering.
+// GOMAXPROCS, lppa-net leaves it at one goroutine) before registering.
 type RoundFlags struct {
 	// Allocation shape: how one round computes, never what it computes.
 	Workers int
@@ -41,7 +41,7 @@ type RoundFlags struct {
 // field values as defaults.
 func (f *RoundFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", f.Workers,
-		"goroutines for submission decode and conflict graphs; <2 = serial driver")
+		"goroutines for submission encoding and conflict graphs; <2 = one (results identical for any count)")
 	fs.IntVar(&f.Shards, "shards", f.Shards,
 		"tile-shard the private rounds into this many coarse tiles (0 = unsharded; bit-identical results, different cost profile)")
 	fs.BoolVar(&f.Indexed, "indexed", f.Indexed,
@@ -56,11 +56,11 @@ func (f *RoundFlags) Register(fs *flag.FlagSet) {
 
 // Validate rejects flag values that used to fall through to a silent
 // default: a negative -workers or -shards is a typo, not a request for
-// the serial pipeline, and an unknown -density must fail before a long
+// one goroutine, and an unknown -density must fail before a long
 // run, not place bidders uniformly. Commands call it right after Parse.
 func (f *RoundFlags) Validate() error {
 	if f.Workers < 0 {
-		return fmt.Errorf("cli: -workers %d is negative (0 picks one per CPU, 1 forces serial)", f.Workers)
+		return fmt.Errorf("cli: -workers %d is negative (0 picks one per CPU, 1 runs on one goroutine)", f.Workers)
 	}
 	if f.Shards < 0 {
 		return fmt.Errorf("cli: -shards %d is negative (0 disables sharding)", f.Shards)
@@ -115,9 +115,9 @@ func (f *RoundFlags) RegisterClient(fs *flag.FlagSet) {
 }
 
 // RoundOptions maps the parsed allocation and degraded-round flags onto
-// round.Run options. Invalid combinations (straggler on the serial
-// pipeline, quorum below 1) are left for round.Run to reject with its own
-// message, so the CLI and library agree on what is legal.
+// round.Run options. Invalid values (quorum below 1, quorum above the
+// population) are left for round.Run to reject with its own message, so
+// the CLI and library agree on what is legal.
 func (f *RoundFlags) RoundOptions() []round.Option {
 	var opts []round.Option
 	if f.Workers > 1 {

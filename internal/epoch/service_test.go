@@ -96,7 +96,7 @@ func TestEpochEquivalence(t *testing.T) {
 		tag  string
 		opts []round.Option
 	}{
-		{"serial", nil},
+		{"default", nil},
 		{"workers4", []round.Option{round.WithWorkers(4)}},
 		{"shards4", []round.Option{round.WithWorkers(2), round.WithShards(4)}},
 		{"indexed", []round.Option{round.WithWorkers(4), round.WithIndexedCandidates()}},

@@ -322,9 +322,8 @@ func phaseStats(agg *obs.SpanAggregator) map[string]PhaseStats {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// roundOptions maps the variant onto round.Run options. Every variant
-// runs the seeded pipeline (WithWorkers), so worker count changes cost,
-// never outcomes.
+// roundOptions maps the variant onto round.Run options. Worker count
+// (WithWorkers) changes cost, never outcomes.
 func roundOptions(cfg Config, tracer *obs.Tracer) []round.Option {
 	opts := []round.Option{round.WithWorkers(cfg.Workers), round.WithTrace(tracer)}
 	switch cfg.Variant {

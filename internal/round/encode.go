@@ -14,9 +14,9 @@ import (
 // encoder is one goroutine's bidder-side encode state over a round's
 // inputs: a location encoder and a bid encoder re-armed per bidder, both
 // keeping their keyed HMAC states (the bid encoder also its AES-GCM)
-// across every bidder the goroutine encodes. Every encode shape runs its
-// bidders through the same encoder methods; the shapes differ only in
-// which rng a bidder draws from and how bidders spread over goroutines.
+// across every bidder the goroutine encodes. Bidder i always draws from
+// its own stream, seeded by the i-th seed drawn from the round rng, so
+// how bidders spread over goroutines never changes a byte.
 type encoder struct {
 	params   core.Params
 	ring     *mask.KeyRing
@@ -26,7 +26,7 @@ type encoder struct {
 
 	loc *core.LocationEncoder // built on first use
 	bid *core.BidEncoder      // built on first use, re-armed per bidder after
-	rng *rand.Rand            // seeded shapes: the current bidder's stream
+	rng *rand.Rand            // the current bidder's stream
 }
 
 func newEncoder(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
@@ -88,8 +88,8 @@ func (e *encoder) bidder(i int, rng *rand.Rand) (*core.LocationSubmission, *core
 	return loc, sub, core.SubmissionBytes(sub) + core.LocationBytes(loc), nil
 }
 
-// seeded returns the goroutine's rng re-seeded to seed: the seeded
-// pipeline's per-bidder stream, identical to rand.New(rand.NewSource(seed))
+// seeded returns the goroutine's rng re-seeded to seed: one bidder's
+// stream, identical to rand.New(rand.NewSource(seed))
 // without allocating a fresh source per bidder.
 func (e *encoder) seeded(seed int64) *rand.Rand {
 	if e.rng == nil {
@@ -125,42 +125,6 @@ func drawSeeds(rng *rand.Rand, n int) []int64 {
 		seeds[i] = rng.Int63()
 	}
 	return seeds
-}
-
-// encodeSerial produces every bidder's submissions on the calling
-// goroutine, threading the round rng through bidders in index order — the
-// legacy RunPrivate randomness shape, kept bit-exact for the deprecated
-// wrappers.
-func encodeSerial(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
-	n := len(points)
-	e := newEncoder(params, ring, points, bids, samplers)
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	bytesTotal := 0
-	// Location masking draws no randomness and runs under the ring's shared
-	// key, so equal points yield byte-identical immutable submissions —
-	// co-located bidders share one. The bid encoder still consumes the rng
-	// stream bidder by bidder, so the transcript is unchanged.
-	locMemo := make(map[geo.Point]*core.LocationSubmission, n)
-	for i := 0; i < n; i++ {
-		loc := locMemo[points[i]]
-		if loc == nil {
-			var err error
-			if loc, err = e.location(i); err != nil {
-				return nil, nil, 0, err
-			}
-			locMemo[points[i]] = loc
-		}
-		locs[i] = loc
-		sub, err := e.bidVector(i, rng)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		subs[i] = sub
-		bytesTotal += core.SubmissionBytes(sub) + core.LocationBytes(loc)
-	}
-	return locs, subs, bytesTotal, nil
 }
 
 // encodeSubmissions produces every bidder's location and bid submission.
@@ -205,15 +169,14 @@ func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Poin
 }
 
 // encodeTolerant is the quorum-mode encoder: per-bidder failures are
-// recorded instead of aborting, and — on the seeded pipeline — bidders
-// that miss the straggler deadline are abandoned (their goroutines finish
-// into a discarded collector slot). Fault-free output is bit-identical to
-// encodeSerial (seeded=false) or encodeSubmissions (seeded=true): the rng
-// is consumed in exactly the same order, and the per-bidder location
-// builder produces the same bytes as the batch builder (location masking
-// draws no randomness).
+// recorded instead of aborting, and bidders that miss the straggler
+// deadline are abandoned (their goroutines finish into a discarded
+// collector slot). Fault-free output is bit-identical to
+// encodeSubmissions: the rng is consumed in exactly the same order, and
+// the per-bidder location builder produces the same bytes as the batch
+// builder (location masking draws no randomness).
 func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int, seeded bool, deadline time.Duration,
+	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int, deadline time.Duration,
 ) ([]*core.LocationSubmission, []*core.BidSubmission, []int, []error) {
 	n := len(points)
 	locs := make([]*core.LocationSubmission, n)
@@ -222,21 +185,10 @@ func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 	errs := make([]error, n)
 	e := newEncoder(params, ring, points, bids, samplers)
 
-	if !seeded {
-		// Serial shape: one rng threaded through bidders in index order,
-		// exactly like encodeSerial, but a failed bidder is skipped
-		// instead of aborting the population. No deadline here — Run
-		// rejects WithStragglerTimeout on the serial pipeline.
-		for i := 0; i < n; i++ {
-			locs[i], subs[i], bytesPer[i], errs[i] = e.bidder(i, rng)
-		}
-		return locs, subs, bytesPer, errs
-	}
-
-	// Seeded shape: the round rng is consumed serially up front (one seed
-	// per bidder), after which every bidder encodes independently. Results
-	// land in the collector under its lock so a deadline snapshot never
-	// races a straggling worker.
+	// The round rng is consumed serially up front (one seed per bidder),
+	// after which every bidder encodes independently. Results land in the
+	// collector under its lock so a deadline snapshot never races a
+	// straggling worker.
 	seeds := drawSeeds(rng, n)
 	var (
 		mu       sync.Mutex

@@ -12,15 +12,16 @@ import (
 // TestWithIndexedCandidatesIdenticalResults pins the option's contract:
 // indexed candidate generation changes how the conflict graph is found,
 // never what it is — outcomes are byte-identical to the all-pairs oracle
-// run at the same seed, across pipeline shapes and the interning ablation.
+// run at the same seed, across worker counts and the interning ablation.
+// The optionless row must also equal WithWorkers(1).
 func TestWithIndexedCandidatesIdenticalResults(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 40, 3, 21)
 	shapes := []struct {
 		name  string
 		extra []Option
 	}{
-		{"serial", nil},
-		{"seeded", []Option{WithWorkers(3)}},
+		{"default", nil},
+		{"workers3", []Option{WithWorkers(3)}},
 		{"noIntern", []Option{WithoutInterning()}},
 	}
 	for _, sh := range shapes {
@@ -30,6 +31,9 @@ func TestWithIndexedCandidatesIdenticalResults(t *testing.T) {
 		base, err := Run(p, ring, in(), sh.extra...)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", sh.name, err)
+		}
+		if sh.extra == nil {
+			defaultIsWorkers1(t, sh.name, base, p, ring, in())
 		}
 		indexed, err := Run(p, ring, in(), append([]Option{WithIndexedCandidates()}, sh.extra...)...)
 		if err != nil {

@@ -17,16 +17,20 @@ func TestRunPrivateOptsRepresentationInvariance(t *testing.T) {
 	policy := core.DisguisePolicy{P0: 0.6, Decay: 0.9}
 	for _, seed := range []int64{2, 13, 37} {
 		p, ring, points, bids := parallelFixture(t, 25, 2, seed)
-		base, err := RunPrivateOpts(p, ring, points, bids, policy,
-			rand.New(rand.NewSource(seed*101)), Options{Workers: 1})
+		in := func() Input {
+			return Input{Points: points, Bids: bids, Policy: policy, Rng: rand.New(rand.NewSource(seed * 101))}
+		}
+		base, err := Run(p, ring, in(), WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, disable := range []bool{false, true} {
-				got, err := RunPrivateOpts(p, ring, points, bids, policy,
-					rand.New(rand.NewSource(seed*101)),
-					Options{Workers: workers, DisableInterning: disable})
+				opts := []Option{WithWorkers(workers)}
+				if disable {
+					opts = append(opts, WithoutInterning())
+				}
+				got, err := Run(p, ring, in(), opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

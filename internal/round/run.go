@@ -32,8 +32,8 @@ type Input struct {
 	Policy core.DisguisePolicy
 	// Rng drives every random choice of the round: the TTP's key material
 	// seed, bid encoding, and the allocator's channel shuffles and tie
-	// breaks. Fixing the seed fixes the round (see WithWorkers for how
-	// parallel encoding keeps that true).
+	// breaks. Fixing the seed fixes the round at every worker count (see
+	// WithWorkers).
 	Rng *rand.Rand
 }
 
@@ -43,7 +43,6 @@ type Option func(*runConfig) error
 
 type runConfig struct {
 	workers     int
-	seeded      bool
 	policies    []core.DisguisePolicy
 	interactive bool
 	secondPrice bool
@@ -64,21 +63,16 @@ type runConfig struct {
 
 // WithWorkers bounds the goroutines used for submission encoding and
 // conflict-graph construction. n == 0 means one worker per available CPU;
-// n == 1 pins the seeded pipeline to the calling goroutine.
-//
-// Passing this option — with any n — switches Run onto the seeded
-// encoding pipeline: the round rng is consumed serially up front (one TTP
-// draw, then one encoding seed per bidder in index order), so results are
-// identical for every n but differ from the optionless serial path at the
-// same seed, which threads one rng through all bidders sequentially. Pick
-// one shape per experiment.
+// a Run without the option uses one. The count changes only cost: the
+// round rng is consumed serially up front (one TTP draw, then one
+// encoding seed per bidder in index order), so results are identical for
+// every n.
 func WithWorkers(n int) Option {
 	return func(c *runConfig) error {
 		if n < 0 {
 			return fmt.Errorf("round: negative worker count %d", n)
 		}
 		c.workers = n
-		c.seeded = true
 		return nil
 	}
 }
@@ -151,8 +145,8 @@ func WithQuorum(q int) Option {
 // excluded under the WithQuorum rules (the option implies a quorum of the
 // full population when WithQuorum is not also given, so a fired timeout
 // with no usable exclusions fails the round rather than silently shrinking
-// it). Requires the seeded pipeline (WithWorkers): per-bidder seeding is
-// what makes abandoning a straggler safe. Exclusion by deadline depends on
+// it). Per-bidder seeding is what makes abandoning a straggler safe: no
+// other bidder shares its stream. Exclusion by deadline depends on
 // scheduling and is therefore not deterministic — it exists so a wedged
 // submission source cannot hang the round, which the chaos harness
 // exercises over the networked transport.
@@ -443,14 +437,13 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 //  4. The TTP adjudicates the winners' charges; voided awards are dropped.
 //
 // Options select the execution and charging shape: WithWorkers for the
-// deterministic parallel pipeline, WithPolicies for per-bidder disguise,
+// goroutine count, WithPolicies for per-bidder disguise,
 // WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
 // charging design, WithObserver for metrics, WithoutInterning for the
-// representation ablation. With no options Run is exactly the legacy
-// serial round (bit-identical to the deprecated RunPrivate for the same
-// seed).
+// representation ablation. A fixed Input.Rng seed fixes the round at
+// every worker count.
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
-	var cfg runConfig
+	cfg := runConfig{workers: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -458,12 +451,6 @@ func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Res
 	}
 	if cfg.interactive && cfg.secondPrice {
 		return nil, fmt.Errorf("round: interactive charging and second-price charging are mutually exclusive")
-	}
-	if cfg.straggler > 0 && !cfg.seeded {
-		// The serial pipeline threads one rng through all bidders, so a
-		// deadline could leave a background encoder racing the allocator
-		// for it; per-bidder seeding makes abandonment safe.
-		return nil, fmt.Errorf("round: WithStragglerTimeout requires the seeded pipeline (add WithWorkers)")
 	}
 	if cfg.sampler != nil && cfg.tracer != nil {
 		return nil, fmt.Errorf("round: WithTrace and WithTraceSampler are mutually exclusive")
@@ -545,10 +532,8 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		excluded   []int
 		keep       []int
 	)
-	workers := 1
-	tolerant := cfg.quorum > 0 || cfg.straggler > 0
-	switch {
-	case tolerant:
+	workers := mask.Workers(cfg.workers, n)
+	if cfg.quorum > 0 || cfg.straggler > 0 {
 		// Quorum mode: per-bidder failures and stragglers are excluded
 		// instead of aborting the round, down to the quorum floor.
 		effQuorum := cfg.quorum
@@ -563,11 +548,8 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 			bytesPer []int
 			errs     []error
 		)
-		if cfg.seeded {
-			workers = mask.Workers(cfg.workers, n)
-		}
 		locs, subs, bytesPer, errs = encodeTolerant(params, ring, in.Points, in.Bids,
-			samplers, rng, workers, cfg.seeded, cfg.straggler)
+			samplers, rng, workers, cfg.straggler)
 		for i := 0; i < n; i++ {
 			if errs[i] == nil && locs[i] != nil && subs[i] != nil {
 				keep = append(keep, i)
@@ -589,11 +571,8 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 			}
 			locs, subs = clocs, csubs
 		}
-	case cfg.seeded:
-		workers = mask.Workers(cfg.workers, n)
+	} else {
 		locs, subs, bytesTotal, err = encodeSubmissions(params, ring, in.Points, in.Bids, samplers, rng, workers)
-	default:
-		locs, subs, bytesTotal, err = encodeSerial(params, ring, in.Points, in.Bids, samplers, rng)
 	}
 	if err != nil {
 		ph.stop()

@@ -14,8 +14,8 @@ import (
 // TestRunQuorumGridFaultFreeIdentical pins WithQuorum's no-op contract
 // across the option grid: on fault-free inputs, adding a quorum (any
 // threshold) must leave the round bit-identical to the same combination
-// without it — for every charging rule, interning mode, and pipeline
-// shape, across seeds.
+// without it — for every charging rule, interning mode, and worker
+// count, across seeds. The optionless row must also equal WithWorkers(1).
 func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 16
@@ -24,7 +24,7 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		tag  string
 		opts []Option
 	}{
-		{"serial", nil},
+		{"default", nil},
 		{"workers1", []Option{WithWorkers(1)}},
 		{"workers4", []Option{WithWorkers(4)}},
 	}
@@ -67,6 +67,9 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 						return res
 					}
 					want := run()
+					if pl.opts == nil {
+						sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"=workers1", run(WithWorkers(1)), want)
+					}
 					for _, q := range quorums {
 						tag := pl.tag + "/" + ch.tag + "/" + it.tag + "/" + q.tag
 						got := run(q.opts...)
@@ -75,12 +78,10 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 							t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
 						}
 					}
-					// Straggler timeout on the seeded pipeline is likewise a
-					// fault-free no-op (generous deadline, nobody straggles).
-					if pl.tag != "serial" {
-						got := run(WithStragglerTimeout(time.Minute))
-						sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"/straggler", want, got)
-					}
+					// A straggler timeout is likewise a fault-free no-op
+					// (generous deadline, nobody straggles).
+					got := run(WithStragglerTimeout(time.Minute))
+					sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"/straggler", want, got)
 				}
 			}
 		}
@@ -101,8 +102,8 @@ func TestRunQuorumExcludesFailedBidder(t *testing.T) {
 		tag  string
 		opts []Option
 	}{
-		{"serial", []Option{WithQuorum(n - 1)}},
-		{"seeded", []Option{WithQuorum(n - 1), WithWorkers(3)}},
+		{"default", []Option{WithQuorum(n - 1)}},
+		{"workers3", []Option{WithQuorum(n - 1), WithWorkers(3)}},
 		{"secondprice", []Option{WithQuorum(n - 1), WithSecondPrice()}},
 	} {
 		res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
@@ -143,13 +144,14 @@ func TestRunQuorumNotReached(t *testing.T) {
 		t.Errorf("full quorum with one failed bidder: err = %v, want ErrQuorumNotReached", err)
 	}
 	// Without quorum mode the same input aborts with the encode error, not
-	// the quorum sentinel: the legacy strict contract is untouched.
+	// the quorum sentinel: the strict contract is untouched.
 	if _, err := Run(p, ring, in()); err == nil || errors.Is(err, ErrQuorumNotReached) {
 		t.Errorf("strict round: err = %v, want plain encode failure", err)
 	}
 }
 
-// TestRunStragglerOptionValidation covers the new options' error paths.
+// TestRunStragglerOptionValidation covers the quorum and straggler
+// options' error paths, and pins that they need no WithWorkers.
 func TestRunStragglerOptionValidation(t *testing.T) {
 	p, ring, pts, bids := parallelFixture(t, 4, 2, 1)
 	in := Input{Points: pts, Bids: bids, Policy: core.DefaultDisguise(), Rng: rand.New(rand.NewSource(1))}
@@ -162,7 +164,21 @@ func TestRunStragglerOptionValidation(t *testing.T) {
 	if _, err := Run(p, ring, in, WithStragglerTimeout(0)); err == nil {
 		t.Error("zero straggler timeout accepted")
 	}
-	if _, err := Run(p, ring, in, WithStragglerTimeout(time.Second)); err == nil {
-		t.Error("straggler timeout without WithWorkers accepted")
+	// Without WithWorkers a round runs on one goroutine in the same rng
+	// shape, so straggler + quorum is a fault-free no-op there too.
+	fresh := func() Input {
+		return Input{Points: pts, Bids: bids, Policy: in.Policy, Rng: rand.New(rand.NewSource(1))}
+	}
+	want, err := Run(p, ring, fresh(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(p, ring, fresh(), WithStragglerTimeout(time.Minute), WithQuorum(len(pts)-1))
+	if err != nil {
+		t.Fatalf("straggler + quorum without WithWorkers: %v", err)
+	}
+	sameResult(t, "straggler+quorum/workers1", want, got)
+	if len(got.Excluded) != 0 {
+		t.Errorf("fault-free straggler round excluded %v", got.Excluded)
 	}
 }

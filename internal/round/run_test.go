@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lppa/internal/core"
+	"lppa/internal/mask"
 	"lppa/internal/obs"
 )
 
@@ -22,60 +23,16 @@ func sameResult(t *testing.T, tag string, a, b *Result) {
 	}
 }
 
-// TestRunMatchesDeprecatedWrappers pins that every deprecated entry point
-// and its Run spelling agree exactly, per seed.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
-	for _, seed := range []int64{2, 13} {
-		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)
-		in := func() Input {
-			return Input{Points: pts, Bids: bids, Policy: pol, Rng: rand.New(rand.NewSource(seed * 5))}
-		}
-		rng := func() *rand.Rand { return rand.New(rand.NewSource(seed * 5)) }
-
-		cases := []struct {
-			tag     string
-			legacy  func() (*Result, error)
-			unified func() (*Result, error)
-		}{
-			{"RunPrivate",
-				func() (*Result, error) { return RunPrivate(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in()) }},
-			{"RunPrivateInteractive",
-				func() (*Result, error) { return RunPrivateInteractive(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in(), WithInteractiveCharging()) }},
-			{"RunPrivateSecondPrice",
-				func() (*Result, error) { return RunPrivateSecondPrice(p, ring, pts, bids, pol, rng()) },
-				func() (*Result, error) { return Run(p, ring, in(), WithSecondPrice()) }},
-			{"RunPrivateOpts",
-				func() (*Result, error) {
-					return RunPrivateOpts(p, ring, pts, bids, pol, rng(), Options{Workers: 4})
-				},
-				func() (*Result, error) { return Run(p, ring, in(), WithWorkers(4)) }},
-		}
-		pols := make([]core.DisguisePolicy, len(pts))
-		for i := range pols {
-			pols[i] = core.DisguisePolicy{P0: 0.5 + float64(i%5)*0.1, Decay: 0.9}
-		}
-		cases = append(cases, struct {
-			tag     string
-			legacy  func() (*Result, error)
-			unified func() (*Result, error)
-		}{"RunPrivateWithPolicies",
-			func() (*Result, error) { return RunPrivateWithPolicies(p, ring, pts, bids, pols, rng()) },
-			func() (*Result, error) {
-				return Run(p, ring, Input{Points: pts, Bids: bids, Rng: rng()}, WithPolicies(pols))
-			}})
-
-		for _, tc := range cases {
-			a, errA := tc.legacy()
-			b, errB := tc.unified()
-			if errA != nil || errB != nil {
-				t.Fatalf("%s seed=%d: errs %v / %v", tc.tag, seed, errA, errB)
-			}
-			sameResult(t, tc.tag, a, b)
-		}
+// defaultIsWorkers1 pins the one-rng-shape contract on a grid's
+// optionless row: got, a Run without WithWorkers, must equal the same call
+// with WithWorkers(1) byte for byte. in must carry a fresh rng.
+func defaultIsWorkers1(t *testing.T, tag string, got *Result, p core.Params, ring *mask.KeyRing, in Input, opts ...Option) {
+	t.Helper()
+	want, err := Run(p, ring, in, append(append([]Option(nil), opts...), WithWorkers(1))...)
+	if err != nil {
+		t.Fatalf("%s with WithWorkers(1): %v", tag, err)
 	}
+	sameResult(t, tag+"=workers1", want, got)
 }
 
 // TestRunObserverDoesNotChangeResults pins the observability contract at
@@ -87,7 +44,7 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 		tag  string
 		opts []Option
 	}{
-		{"serial", nil},
+		{"default", nil},
 		{"workers1", []Option{WithWorkers(1)}},
 		{"workers4", []Option{WithWorkers(4)}},
 		{"interactive", []Option{WithInteractiveCharging()}},
@@ -107,6 +64,10 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 				return res
 			}
 			plain := run(nil)
+			if sh.opts == nil {
+				defaultIsWorkers1(t, sh.tag, plain, p, ring, Input{Points: pts, Bids: bids, Policy: pol,
+					Rng: rand.New(rand.NewSource(seed * 9))})
+			}
 			reg := obs.NewRegistry()
 			watched := run(reg)
 			sameResult(t, sh.tag, plain, watched)

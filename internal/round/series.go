@@ -60,7 +60,8 @@ func NewSeries(params core.Params, ring *mask.KeyRing, maxRequests, maxRounds in
 // Run executes one auction round: allocation completes immediately, the
 // charge requests join the batch queue, and any rounds whose settlement
 // the queue released are returned (possibly none, possibly several,
-// possibly including this round).
+// possibly including this round). Bidders encode as in Run: one seed per
+// bidder drawn from rng, then the allocator continues on rng.
 func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	policy core.DisguisePolicy, rng *rand.Rand) ([]SeriesRound, error) {
 	n := len(points)
@@ -74,19 +75,13 @@ func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 			return nil, err
 		}
 	}
-	locs := make([]*core.LocationSubmission, n)
-	subs := make([]*core.BidSubmission, n)
-	for i := 0; i < n; i++ {
-		if locs[i], err = core.NewLocationSubmission(s.params, ring, points[i]); err != nil {
-			return nil, err
-		}
-		enc, err := core.NewBidEncoder(s.params, ring, sampler, rng)
-		if err != nil {
-			return nil, err
-		}
-		if subs[i], err = enc.Encode(bids[i], rng); err != nil {
-			return nil, err
-		}
+	samplers := make([]*core.DisguiseSampler, n)
+	for i := range samplers {
+		samplers[i] = sampler
+	}
+	locs, subs, _, err := encodeSubmissions(s.params, ring, points, bids, samplers, rng, 1)
+	if err != nil {
+		return nil, err
 	}
 	auc, err := core.NewAuctioneer(s.params, locs, subs)
 	if err != nil {

@@ -25,7 +25,7 @@ func FuzzShardBoundaryEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, shardsRaw, workersRaw uint8, indexed, noIntern bool) {
 		n := int(nRaw%32) + 1
 		shards := int(shardsRaw%15) + 1
-		workers := int(workersRaw % 5) // 0 = serial pipeline
+		workers := int(workersRaw % 5) // 0 = no WithWorkers option
 		p := core.Params{Channels: 3, Lambda: 2, MaxX: 99, MaxY: 99, BMax: 40}
 		ring, err := mask.DeriveKeyRing([]byte("shard-fuzz"), p.Channels, 5, 8)
 		if err != nil {

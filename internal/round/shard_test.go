@@ -10,16 +10,23 @@ import (
 	"lppa/internal/mask"
 )
 
-// runShardPair runs the same round unsharded and sharded and pins every
-// observable equal: the result surface (sameResult), the transcript
-// rankings, and the conflict graph itself.
-func runShardPair(t *testing.T, tag string, p core.Params, pts []geo.Point, bids [][]uint64,
-	pol core.DisguisePolicy, seed int64, base []Option, shards int) {
+func shardRing(t *testing.T, p core.Params) *mask.KeyRing {
 	t.Helper()
 	ring, err := mask.DeriveKeyRing([]byte("round-shard"), p.Channels, 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ring
+}
+
+// runShardPair runs the same round unsharded and sharded and pins every
+// observable equal: the result surface (sameResult), the transcript
+// rankings, and the conflict graph itself. It returns the unsharded
+// result.
+func runShardPair(t *testing.T, tag string, p core.Params, pts []geo.Point, bids [][]uint64,
+	pol core.DisguisePolicy, seed int64, base []Option, shards int) *Result {
+	t.Helper()
+	ring := shardRing(t, p)
 	run := func(extra ...Option) *Result {
 		t.Helper()
 		res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
@@ -38,12 +45,14 @@ func runShardPair(t *testing.T, tag string, p core.Params, pts []geo.Point, bids
 	if !want.Auctioneer.ConflictGraph().Equal(got.Auctioneer.ConflictGraph()) {
 		t.Errorf("%s: conflict graphs differ between unsharded and %d shards", tag, shards)
 	}
+	return want
 }
 
 // TestRunShardGridEquivalence is the tentpole equivalence grid: for every
 // pipeline shape × interning mode × candidate strategy × charging rule ×
 // density shape, WithShards(k) must be bit-identical to the unsharded
-// round — including k = 1, the degenerate single-tile case.
+// round — including k = 1, the degenerate single-tile case. The
+// optionless pipeline row must also equal WithWorkers(1).
 func TestRunShardGridEquivalence(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 40
@@ -52,7 +61,7 @@ func TestRunShardGridEquivalence(t *testing.T) {
 		tag  string
 		opts []Option
 	}{
-		{"serial", nil},
+		{"default", nil},
 		{"workers4", []Option{WithWorkers(4)}},
 	}
 	interning := []struct {
@@ -119,9 +128,14 @@ func TestRunShardGridEquivalence(t *testing.T) {
 						for _, ch := range charging {
 							base := append(append(append([]Option(nil), pl.opts...), it.opts...), ca.opts...)
 							base = append(base, ch.opts...)
+							tag := de.tag + "/" + pl.tag + "/" + it.tag + "/" + ca.tag + "/" + ch.tag
+							var want *Result
 							for _, shards := range []int{1, 2, 4, 8} {
-								tag := de.tag + "/" + pl.tag + "/" + it.tag + "/" + ca.tag + "/" + ch.tag
-								runShardPair(t, tag, p, pts, bids, pol, seed*7, base, shards)
+								want = runShardPair(t, tag, p, pts, bids, pol, seed*7, base, shards)
+							}
+							if pl.opts == nil {
+								defaultIsWorkers1(t, tag, want, p, shardRing(t, p), Input{Points: pts, Bids: bids,
+									Policy: pol, Rng: rand.New(rand.NewSource(seed * 7))}, base...)
 							}
 						}
 					}

@@ -14,8 +14,9 @@ import (
 
 // TestWithTraceBitIdentical pins the observed-twin contract for tracing:
 // a traced round produces exactly the result of the same untraced call,
-// for every pipeline and charging shape — tracing reads clocks and buffers
-// spans but never touches the rng or the protocol.
+// for every worker count and charging shape — tracing reads clocks and
+// buffers spans but never touches the rng or the protocol. The optionless
+// row must also equal WithWorkers(1).
 func TestWithTraceBitIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 16
@@ -25,7 +26,7 @@ func TestWithTraceBitIdentical(t *testing.T) {
 			tag  string
 			opts []Option
 		}{
-			{"serial", nil},
+			{"default", nil},
 			{"workers4", []Option{WithWorkers(4)}},
 			{"secondprice", []Option{WithSecondPrice()}},
 			{"interactive", []Option{WithInteractiveCharging()}},
@@ -37,6 +38,9 @@ func TestWithTraceBitIdentical(t *testing.T) {
 			want, err := Run(p, ring, in(), tc.opts...)
 			if err != nil {
 				t.Fatalf("%s: untraced: %v", tc.tag, err)
+			}
+			if tc.opts == nil {
+				defaultIsWorkers1(t, tc.tag, want, p, ring, in())
 			}
 			tracer := obs.NewTracer("auctioneer")
 			got, err := Run(p, ring, in(), append([]Option{WithTrace(tracer)}, tc.opts...)...)

@@ -13,12 +13,12 @@ import (
 )
 
 // encodeTranscriptWant is the SHA-256 of the bidder-side encode transcript
-// of TestEncodeTranscriptPinned's fixture across every encode shape. It
+// of TestEncodeTranscriptPinned's fixture across every encode path. It
 // pins the submissions bit for bit — every digest, every sealed byte, and
-// how much randomness each shape consumed — so allocation or structural
+// how much randomness each path consumed — so allocation or structural
 // rewrites of the encode path cannot drift from the protocol transcript
 // unnoticed.
-const encodeTranscriptWant = "0b6a70762dbfd68d08883d7f60e893ba4e27427bbea26ab9a58a8dce9552ed3f"
+const encodeTranscriptWant = "8362187d4b089620731819698e23807e61214598bf4a015001a51a93c30f4e72"
 
 func writeSet(h hash.Hash, s mask.Set) {
 	var n [4]byte
@@ -35,14 +35,13 @@ func writeInt(h hash.Hash, v int64) {
 	h.Write(b[:])
 }
 
-// TestEncodeTranscriptPinned hashes, for each encode shape — seeded at one
-// and two workers, serial, and the quorum-tolerant encoder in both its
-// serial and seeded forms — every location and bid set's sorted digests,
-// every sealed ciphertext, and one draw of the round rng after encoding.
-// The seeded shapes additionally hash one post-encode draw of each
-// bidder's own stream, replayed through a fresh encoder whose ciphertexts
-// must match the shape's (so the replayed stream is the one the shape
-// consumed).
+// TestEncodeTranscriptPinned hashes, for each encode path — the strict
+// encoder at one and two workers and the quorum-tolerant encoder at two —
+// every location and bid set's sorted digests, every sealed ciphertext,
+// and one draw of the round rng after encoding. Each path additionally
+// hashes one post-encode draw of each bidder's own stream, replayed
+// through a fresh encoder whose ciphertexts must match the path's (so the
+// replayed stream is the one the path consumed).
 func TestEncodeTranscriptPinned(t *testing.T) {
 	p, ring, points, bids := parallelFixture(t, 24, 2, 11)
 	points[7] = points[3] // co-located bidders share a location submission
@@ -72,7 +71,7 @@ func TestEncodeTranscriptPinned(t *testing.T) {
 		}
 		writeInt(h, rng.Int63())
 	}
-	// replaySeeded hashes each bidder's post-encode draw for a seeded shape.
+	// replaySeeded hashes each bidder's post-encode draw.
 	replaySeeded := func(shape string, subs []*core.BidSubmission) {
 		seeds := rand.New(rand.NewSource(roundSeed))
 		for i := range subs {
@@ -106,30 +105,14 @@ func TestEncodeTranscriptPinned(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(roundSeed))
-	locs, subs, _, err := encodeSerial(p, ring, points, bids, samplers, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record("serial", locs, subs, rng)
-
-	for _, seeded := range []bool{false, true} {
-		shape := "tolerant/serial"
-		workers := 1
-		if seeded {
-			shape, workers = "tolerant/seeded", 2
-		}
-		rng := rand.New(rand.NewSource(roundSeed))
-		locs, subs, _, errs := encodeTolerant(p, ring, points, bids, samplers, rng, workers, seeded, 0)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s: bidder %d: %v", shape, i, err)
-			}
-		}
-		record(shape, locs, subs, rng)
-		if seeded {
-			replaySeeded(shape, subs)
+	locs, subs, _, errs := encodeTolerant(p, ring, points, bids, samplers, rng, 2, 0)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tolerant/seeded: bidder %d: %v", i, err)
 		}
 	}
+	record("tolerant/seeded", locs, subs, rng)
+	replaySeeded("tolerant/seeded", subs)
 
 	if got := hex.EncodeToString(h.Sum(nil)); got != encodeTranscriptWant {
 		t.Fatalf("encode transcript hash %s, want %s", got, encodeTranscriptWant)

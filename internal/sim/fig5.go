@@ -37,12 +37,10 @@ type Fig5Config struct {
 	// Trials repeats each (N, 1−p0) cell with fresh populations and keys
 	// and reports mean ± 95 % CI (1 when zero).
 	Trials int
-	// Workers > 1 runs the private rounds through the deterministic
-	// parallel pipeline (round.Run with WithWorkers): concurrent submission
-	// encoding and conflict-graph construction, identical results for any
-	// worker count. 0 or 1 keeps the legacy serial driver, whose rng
-	// consumption order (and hence exact tables) predates the parallel
-	// path.
+	// Workers > 1 spreads the private rounds' submission encoding and
+	// conflict-graph construction over that many goroutines
+	// (round.WithWorkers); 0 or 1 runs them on one. The tables are
+	// identical for every worker count.
 	Workers int
 	// Density, when non-nil, overrides the uniform bidder placement with a
 	// named density mix (dense-urban, sparse-rural, or mixed geometry from
@@ -62,8 +60,7 @@ type Fig5Config struct {
 	// encoding stalls past Straggler is excluded as long as Quorum usable
 	// submissions remain. They bound who participates, never how the
 	// admitted set allocates; on a healthy in-process run every bidder
-	// makes the deadline and results are unchanged. Straggler requires the
-	// parallel pipeline (Workers > 1), which round.Run enforces.
+	// makes the deadline and results are unchanged.
 	Quorum    int
 	Straggler time.Duration
 	// Metrics, when non-nil, records every private round the experiment
@@ -79,8 +76,8 @@ type Fig5Config struct {
 	Flight *obs.FlightRecorder
 }
 
-// runPrivate dispatches one private round through the serial or parallel
-// pipeline of round.Run according to cfg.Workers.
+// runPrivate runs one private round through round.Run with the options
+// cfg selects.
 func (cfg Fig5Config) runPrivate(params core.Params, ring *mask.KeyRing, pts []geo.Point, bids [][]uint64,
 	policy core.DisguisePolicy, rng *rand.Rand) (*round.Result, error) {
 	opts := []round.Option{round.WithObserver(cfg.Metrics)}

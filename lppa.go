@@ -21,8 +21,8 @@
 //	    Rng:    rng,
 //	})
 //
-// Run accepts functional options: WithWorkers for the deterministic
-// parallel pipeline, WithSecondPrice / WithInteractiveCharging for the
+// Run accepts functional options: WithWorkers for the goroutine count
+// (results are identical at every count), WithSecondPrice / WithInteractiveCharging for the
 // alternative charging rules, and WithObserver to record phase timings and
 // protocol counters into a metrics Registry (see DESIGN.md §5c).
 //
@@ -280,15 +280,16 @@ func NewLocationSubmission(params Params, ring *KeyRing, pt Point) (*LocationSub
 func Conflicts(a, b *LocationSubmission) bool { return core.Conflicts(a, b) }
 
 // Run executes a full LPPA round in-process. The default is the paper's
-// design — one disguise policy for all bidders, batch TTP charging, the
-// serial pipeline — and functional options select every variant: worker
-// count, per-bidder policies, charging rule, and metrics.
+// design — one disguise policy for all bidders, batch TTP charging, one
+// goroutine — and functional options select every variant: worker count,
+// per-bidder policies, charging rule, and metrics. A fixed RoundInput.Rng
+// seed fixes the round at every worker count.
 func Run(params Params, ring *KeyRing, in RoundInput, opts ...RunOption) (*RoundResult, error) {
 	return round.Run(params, ring, in, opts...)
 }
 
-// WithWorkers runs the round through the deterministic parallel pipeline
-// with n goroutines (0 = GOMAXPROCS). Results are identical for any worker
+// WithWorkers runs the round's encoding and conflict graph on n goroutines
+// (0 = GOMAXPROCS; the default is 1). Results are identical for any worker
 // count.
 func WithWorkers(n int) RunOption { return round.WithWorkers(n) }
 
@@ -317,8 +318,7 @@ func WithObserver(reg *Registry) RunOption { return round.WithObserver(reg) }
 func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
 
 // WithStragglerTimeout bounds how long Run waits for any bidder's
-// submission; stragglers are excluded under the WithQuorum rules. Requires
-// WithWorkers.
+// submission; stragglers are excluded under the WithQuorum rules.
 func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStragglerTimeout(d) }
 
 // WithShards partitions the round into k coarse tiles routed by masked
@@ -410,24 +410,6 @@ func AuditRound(res *RoundResult, opts AuditOptions) (*AuditReport, error) {
 	return audit.Round(res, opts)
 }
 
-// RunPrivate executes a full LPPA round in-process (batch TTP charging,
-// the paper's design).
-//
-// Deprecated: use Run.
-func RunPrivate(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivate(params, ring, points, bids, policy, rng)
-}
-
-// RunPrivateInteractive executes a round with per-award TTP validity
-// checks (the ablation design; see DESIGN.md §5).
-//
-// Deprecated: use Run with WithInteractiveCharging.
-func RunPrivateInteractive(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivateInteractive(params, ring, points, bids, policy, rng)
-}
-
 // NewSeries builds a multi-auction runner with batched TTP charging
 // (section V.C.2).
 func NewSeries(params Params, ring *KeyRing, maxRequests, maxRounds int, rng *rand.Rand) (*Series, error) {
@@ -437,17 +419,6 @@ func NewSeries(params Params, ring *KeyRing, maxRequests, maxRounds int, rng *ra
 // RunPlainBaseline runs the non-private reference auction.
 func RunPlainBaseline(points []Point, bids [][]uint64, lambda uint64, rng *rand.Rand) (*Outcome, error) {
 	return round.RunPlainBaseline(points, bids, lambda, rng)
-}
-
-// RunPrivateSecondPrice executes a private round with second-price
-// (clearing-price) charging — the paper's future-work direction
-// implemented end to end (winners pay the award-time runner-up's bid,
-// unblinded by the TTP).
-//
-// Deprecated: use Run with WithSecondPrice.
-func RunPrivateSecondPrice(params Params, ring *KeyRing, points []Point, bids [][]uint64,
-	policy DisguisePolicy, rng *rand.Rand) (*RoundResult, error) {
-	return round.RunPrivateSecondPrice(params, ring, points, bids, policy, rng)
 }
 
 // BCM runs the Bid-Channels Mining attack for an observed channel set.
