@@ -111,7 +111,7 @@ load-compare:
 load-smoke:
 	$(GO) test -race -count=1 ./internal/load/ ./cmd/lppa-load/
 	$(GO) run ./cmd/lppa-load run -n 200 -density mixed \
-		-variants plain,interned,indexed,sharded,service \
+		-variants interned,sharded,service \
 		-rounds 3 -rate-limit 100 -chaos drop -chaos-rate 0.05 \
 		-seed 1 -o LOAD_SMOKE.json
 	$(GO) run ./cmd/lppa-load compare LOAD_SMOKE.json LOAD_SMOKE.json

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -1263,32 +1264,44 @@ func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, [
 }
 
 // BenchmarkRankMemoN300 is the acceptance-criterion rank-memo build at
-// N=300: a fresh auctioneer per iteration sorts every column into the
-// dense-rank memo (Rankings touches all k columns), with the O(n log n)
-// masked comparisons answered by map-set walks versus interned merges.
+// N=300: every column sorted by descending masked bid, with the O(n log n)
+// masked comparisons answered by map-set walks (the reference stable sort
+// under core.CompareGE on the submitted ChannelBids) versus a fresh
+// auctioneer's interned merges into the dense-rank memo (Rankings touches
+// all k columns).
 func BenchmarkRankMemoN300(b *testing.B) {
 	p, locs, subs := rankMemoRoundN300(b)
-	run := func(b *testing.B, disable bool) {
+	b.Run("map-sets", func(b *testing.B) {
+		order := make([]int, len(subs))
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < p.Channels; r++ {
+				for x := range order {
+					order[x] = x
+				}
+				sort.SliceStable(order, func(x, y int) bool {
+					ci, cj := &subs[order[x]].Channels[r], &subs[order[y]].Channels[r]
+					return core.CompareGE(ci, cj) && !core.CompareGE(cj, ci)
+				})
+			}
+		}
+	})
+	b.Run("interned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			auc, err := core.NewAuctioneer(p, locs, subs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if disable {
-				auc.DisableInterning()
-			}
 			auc.Rankings()
 		}
-	}
-	b.Run("map-sets", func(b *testing.B) { run(b, true) })
-	b.Run("interned", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // --- Indexed candidate-generation benchmarks (PR 6) ----------------------
 
 // BenchmarkConflictGraphIndexed is the acceptance-criterion build at
 // N=3000 under the two density regimes of DESIGN.md §5f: the all-pairs
-// oracle against the inverted-index candidate path. Sparse-rural (uniform
+// oracle against the auctioneer's inverted-index candidate path (a fresh
+// auctioneer per iteration, so interning and index posting are billed). Sparse-rural (uniform
 // over a 1000×1000 domain) is where the index wins — short posting lists
 // collapse the candidate set far below n². Dense-urban (three tight
 // hotspots on a 100×100 domain) is the skew-guard stress case: posting
@@ -1329,10 +1342,25 @@ func BenchmarkConflictGraphIndexed(b *testing.B) {
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
+		bidSubs := make([]*core.BidSubmission, n)
+		bidRng := rand.New(rand.NewSource(4))
+		for i := range bidSubs {
+			enc, err := core.NewBidEncoder(p, ring, nil, bidRng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bidSubs[i], err = enc.Encode([]uint64{0}, bidRng); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.Run(name+"/indexed", func(b *testing.B) {
 			var edges int
 			for i := 0; i < b.N; i++ {
-				edges = core.BuildConflictGraphIndexed(subs, 1).Edges()
+				auc, err := core.NewAuctioneer(p, subs, bidSubs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges = auc.ConflictGraph().Edges()
 			}
 			b.ReportMetric(float64(edges), "edges")
 		})
@@ -1430,11 +1458,10 @@ func BenchmarkRoundSharded(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					var opts []round.Option
 					if shards > 0 {
-						// The sharded planner composes the PR-6 candidate
-						// index per tile (DESIGN.md §5g); the baseline is
-						// the unsharded default path.
-						opts = append(opts, round.WithShards(shards),
-							round.WithIndexedCandidates())
+						// The sharded planner runs the candidate index per
+						// tile (DESIGN.md §5g); the baseline is the
+						// unsharded round over the global index.
+						opts = append(opts, round.WithShards(shards))
 					}
 					var awards int
 					for i := 0; i < b.N; i++ {
@@ -1539,8 +1566,7 @@ func BenchmarkEpochService(b *testing.B) {
 		opts []round.Option
 	}{
 		{"default", nil},
-		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4),
-			round.WithIndexedCandidates()}},
+		{"sharded", []round.Option{round.WithWorkers(4), round.WithShards(4)}},
 	}
 	// The optionless variant runs every epoch as WithWorkers(1) would: one
 	// rng shape at every worker count.

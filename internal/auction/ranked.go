@@ -18,7 +18,7 @@ type Column func(r int) (order, rank []int)
 // instead of a pairwise comparator. Each pick reads the column's head rank
 // group through a monotone cursor — O(group + dead entries retired) per
 // award instead of two O(n) comparator sweeps — which is what keeps the
-// sharded round's allocation phase sub-quadratic. It is bit-identical to
+// private round's allocation phase sub-quadratic. It is bit-identical to
 // AllocateAwards for the same inputs and rng, because the legacy sweeps
 // resolve to positions in the same memo order:
 //
@@ -32,8 +32,7 @@ type Column func(r int) (order, rank []int)
 //     identical tie list; the channel pool is shared code).
 //
 // served, when non-nil, is called once per memo entry the allocator
-// examines (the per-shard memo-hit telemetry hook); nil skips all
-// accounting. See AllocateAwards for the void-award semantics.
+// examines (the memo-hit telemetry hook); nil skips all accounting. See AllocateAwards for the void-award semantics.
 func AllocateAwardsOrdered(n, k int, present [][]bool, g *conflict.Graph, column Column, valid Validity, served func(bidder int), rng *rand.Rand) ([]Award, []Assignment, error) {
 	if g.N() != n {
 		return nil, nil, fmt.Errorf("auction: conflict graph has %d nodes, want %d", g.N(), n)

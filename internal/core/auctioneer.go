@@ -26,23 +26,16 @@ type Auctioneer struct {
 	graph   *conflict.Graph
 	workers int
 
-	// noIntern forces every masked set operation back onto mask.Set's
-	// linear scans (the test oracle for ablation and equivalence tests;
-	// results are identical either way by construction).
-	noIntern bool
-
-	// indexed switches conflict-candidate generation onto the inverted
-	// digest index (EnableIndexedCandidates, graphbuild.go). iloc and
-	// locIndex cache the interned location view and the index, built once by
-	// internedView — submissions are immutable, so neither is invalidated.
-	indexed  bool
+	// iloc and locIndex cache the interned location view and the inverted
+	// candidate index (graphbuild.go), built once by internedView —
+	// submissions are immutable, so neither is invalidated.
 	iloc     []internedLocation
 	locIndex *mask.Index
 
 	// plan, when non-nil, switches execution to tile-sharded form
 	// (shard.go): per-tile conflict graphs and rank-memo sorts, merged
-	// bit-identically, plus the rank-cursor allocator. shardIx keeps the
-	// per-tile candidate-index stats of the last sharded indexed build.
+	// bit-identically. shardIx keeps the per-tile candidate-index stats of
+	// the last sharded build.
 	plan    *ShardPlan
 	shardIx []mask.IndexStats
 
@@ -51,8 +44,7 @@ type Auctioneer struct {
 	// order), rank[r][i] the dense rank of bidder i (equal masked bids
 	// share a rank). One O(n log n) pass of masked set intersections per
 	// column replaces the O(n) re-intersections of every later scan. The
-	// sort itself runs on interned sets (intern.go) unless noIntern is
-	// set; the memo it leaves behind is representation-independent.
+	// sort itself runs on interned sets (intern.go).
 	rank      [][]int
 	rankOrder [][]int
 	// colCalls[r] is the masked-intersection count spent building column
@@ -93,12 +85,11 @@ func (a *Auctioneer) N() int { return len(a.bids) }
 // params: the submissions are swapped and every lazily built,
 // population-specific cache (conflict graph, interned views, candidate
 // index, shard state, rank memos, comparison tallies) is dropped. The
-// tuning knobs — workers, interning, indexed candidates, observer — also
-// return to their post-NewAuctioneer defaults, so the next round
-// re-applies exactly the options it was asked for instead of inheriting
-// a previous epoch's. This is the epochal service's reuse path
-// (internal/epoch): one auctioneer per service lifetime instead of one
-// per round.
+// tuning knobs — workers, shard plan, observer — also return to their
+// post-NewAuctioneer defaults, so the next round re-applies exactly the
+// options it was asked for instead of inheriting a previous epoch's. This
+// is the epochal service's reuse path (internal/epoch): one auctioneer per
+// service lifetime instead of one per round.
 func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) error {
 	if len(locs) != len(bids) {
 		return fmt.Errorf("core: %d location submissions vs %d bid submissions", len(locs), len(bids))
@@ -115,8 +106,6 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	a.locs, a.bids = locs, bids
 	a.graph = nil
 	a.workers = 0
-	a.noIntern = false
-	a.indexed = false
 	a.iloc = nil
 	a.locIndex = nil
 	a.plan = nil
@@ -133,13 +122,6 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 // every worker count, so this knob never changes auction results.
 func (a *Auctioneer) SetWorkers(w int) { a.workers = w }
 
-// DisableInterning switches the auctioneer back to mask.Set's linear-scan
-// intersections for every masked operation (ablation benchmarks and equivalence tests).
-// Call it before the first ConflictGraph/GE/Allocate use; the lazily
-// built caches are representation-independent, so flipping it later has
-// no effect on answers already memoized.
-func (a *Auctioneer) DisableInterning() { a.noIntern = true }
-
 // ConflictGraph lazily builds and returns the masked-submission conflict
 // graph through the shared builder (graphbuild.go).
 func (a *Auctioneer) ConflictGraph() *conflict.Graph {
@@ -149,45 +131,19 @@ func (a *Auctioneer) ConflictGraph() *conflict.Graph {
 	return a.graph
 }
 
-// rawGE evaluates the masked comparison directly: one Family ∩ Range set
-// intersection.
-func (a *Auctioneer) rawGE(r, i, j int) bool {
-	return CompareGE(&a.bids[i].Channels[r], &a.bids[j].Channels[r])
-}
-
-// geFactory mints comparator instances for one column. Each call returns
-// a comparator accumulating its masked-intersection tallies into the given
-// stats (observed auctioneers only; unobserved instances ignore it), so
-// parallel per-tile sorts get race-free private instances over the one
-// shared interned column.
-type geFactory = func(st *mask.IntersectStats) func(r, i, j int) bool
-
-// columnGE interns column r (once, at factory creation — the fast path
-// unless noIntern) and returns the comparator factory plus the interned
-// column itself (nil when interning is off) for callers that can exploit
-// digest-set equality directly, like the sharded sort's bid classes.
-// Interned and uninterned comparators agree on every pair: CompareGE
-// outcomes depend only on digest equality, which interning preserves
-// exactly.
-func (a *Auctioneer) columnGE(r int) (geFactory, []internedChannelBid) {
-	if a.noIntern {
-		if a.ob == nil {
-			return func(*mask.IntersectStats) func(r, i, j int) bool { return a.rawGE }, nil
-		}
-		return func(st *mask.IntersectStats) func(r, i, j int) bool {
-			return func(r, i, j int) bool { st.Calls++; return a.rawGE(r, i, j) }
-		}, nil
-	}
+// columnGE interns column r and returns its masked comparator plus the
+// interned column itself, for callers that can exploit digest-set equality
+// directly, like the sharded sort's bid classes. On observed auctioneers
+// the comparator tallies its masked intersections into st. It agrees with
+// CompareGE on every pair: outcomes depend only on digest equality, which
+// interning preserves exactly.
+func (a *Auctioneer) columnGE(r int, st *mask.IntersectStats) (func(r, i, j int) bool, []internedChannelBid) {
 	col, total, distinct := internColumn(a.bids, r)
 	if a.ob != nil {
 		a.ob.noteIntern(total, distinct)
-		return func(st *mask.IntersectStats) func(r, i, j int) bool {
-			return func(r, i, j int) bool { return col[i].geCounted(&col[j], st) }
-		}, col
+		return func(r, i, j int) bool { return col[i].geCounted(&col[j], st) }, col
 	}
-	return func(*mask.IntersectStats) func(r, i, j int) bool {
-		return func(r, i, j int) bool { return col[i].ge(&col[j]) }
-	}, col
+	return func(r, i, j int) bool { return col[i].ge(&col[j]) }, col
 }
 
 // columnRank builds (once) and returns the dense rank memo of column r.
@@ -207,24 +163,22 @@ func (a *Auctioneer) columnRank(r int) []int {
 	}
 	if a.rank[r] == nil {
 		n := a.N()
-		mk, col := a.columnGE(r)
 		var st mask.IntersectStats
+		ge, col := a.columnGE(r, &st)
 		var order []int
 		if a.plan != nil {
-			order = a.shardedOrder(r, mk, col, &st)
+			order = a.shardedOrder(r, col, ge)
 		} else {
 			order = make([]int, n)
 			for i := range order {
 				order[i] = i
 			}
-			ge := mk(&st)
 			sort.SliceStable(order, func(x, y int) bool {
 				i, j := order[x], order[y]
 				// Strictly greater: GE(i,j) && !GE(j,i). Ties keep index order.
 				return ge(r, i, j) && !ge(r, j, i)
 			})
 		}
-		ge := mk(&st)
 		rank := make([]int, n)
 		rk := 0
 		for x, i := range order {
@@ -251,9 +205,8 @@ func (a *Auctioneer) columnRank(r int) []int {
 }
 
 // GE reports whether bidder i's masked bid on channel r is at least
-// bidder j's. Answers come from the per-column rank memo, so repeated
-// column scans (the allocator revisits each column every epoch) cost one
-// comparison instead of one masked set intersection.
+// bidder j's. Answers come from the per-column rank memo, so each costs
+// one integer comparison instead of one masked set intersection.
 func (a *Auctioneer) GE(r, i, j int) bool {
 	rank := a.columnRank(r)
 	return rank[i] <= rank[j]
@@ -274,21 +227,18 @@ func fullPresent(n, k int) [][]bool {
 }
 
 // allocateAwards is the one allocation entry point behind
-// Allocate/AllocateWithValidity/AllocateAwards. Unsharded it runs the
-// paper's Algorithm 3 against the memo-backed comparator; under a shard
-// plan it runs the rank-cursor engine directly on the per-column memos
-// (auction.AllocateAwardsOrdered), which is bit-identical by construction
-// and skips the two O(n) comparator sweeps per award.
+// Allocate/AllocateWithValidity/AllocateAwards: the paper's Algorithm 3
+// run by the rank-cursor engine directly on the per-column memos
+// (auction.AllocateAwardsOrdered). It is bit-identical to Algorithm 3 over
+// the masked comparator (auction.AllocateAwards, the test oracle) and
+// skips that loop's two O(n) comparator sweeps per award.
 func (a *Auctioneer) allocateAwards(valid auction.Validity, rng *rand.Rand) ([]auction.Award, []auction.Assignment, error) {
 	n, k := a.N(), a.params.Channels
-	if a.plan != nil {
-		column := func(r int) (order, rank []int) {
-			a.columnRank(r)
-			return a.rankOrder[r], a.rank[r]
-		}
-		return auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, a.servedHook(), rng)
+	column := func(r int) (order, rank []int) {
+		a.columnRank(r)
+		return a.rankOrder[r], a.rank[r]
 	}
-	return auction.AllocateAwards(n, k, fullPresent(n, k), a.ConflictGraph(), a.geFunc(), valid, rng)
+	return auction.AllocateAwardsOrdered(n, k, fullPresent(n, k), a.ConflictGraph(), column, valid, a.servedHook(), rng)
 }
 
 // Allocate runs the private spectrum allocation (Algorithm 3 over masked

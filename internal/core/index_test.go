@@ -77,9 +77,11 @@ func locSubs(t testing.TB, p Params, pts []geo.Point) []*LocationSubmission {
 	return subs
 }
 
-// TestIndexedGraphMatchesOracle is the equivalence grid: every density
-// shape × worker count must yield a graph bit-identical to the all-pairs
-// oracle (itself pinned against the map-based predicate).
+// TestIndexedGraphMatchesOracle is the equivalence grid: for every density
+// shape × worker count, the auctioneer's conflict graph — built from the
+// inverted candidate index — must be bit-identical to the all-pairs
+// oracle (itself pinned against the map-based predicate), and the index
+// must describe the whole population.
 func TestIndexedGraphMatchesOracle(t *testing.T) {
 	p := testParams()
 	for _, shape := range densityShapes {
@@ -93,7 +95,12 @@ func TestIndexedGraphMatchesOracle(t *testing.T) {
 				t.Fatalf("%s/n=%d: interned oracle differs from map-based predicate", shape, n)
 			}
 			for _, workers := range []int{1, 2, 5, 16} {
-				if got := BuildConflictGraphIndexed(subs, workers); !got.Equal(oracle) {
+				auc := graphOnly(t, p, subs, workers)
+				auc.PrepareCandidates()
+				if st := auc.IndexStats(); st.Bidders != n || st.Postings == 0 {
+					t.Fatalf("%s/n=%d: IndexStats = %+v, want %d bidders with postings", shape, n, st, n)
+				}
+				if !auc.ConflictGraph().Equal(oracle) {
 					t.Fatalf("%s/n=%d/workers=%d: indexed graph differs from oracle", shape, n, workers)
 				}
 			}
@@ -101,49 +108,11 @@ func TestIndexedGraphMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAuctioneerIndexedKnob pins the option plumbing: EnableIndexedCandidates
-// changes no answer (graph, allocation inputs), PrepareCandidates reports
-// whether an index is in play, and DisableInterning wins over indexed mode.
-func TestAuctioneerIndexedKnob(t *testing.T) {
-	p := testParams()
-	for _, workers := range []int{1, 4} {
-		oracleAuc, pts, bids := randomRound(t, p, 60, 99)
-		oracleAuc.SetWorkers(workers)
-		oracle := oracleAuc.ConflictGraph()
-
-		indexed := buildRound(t, p, pts, bids, 1099)
-		indexed.SetWorkers(workers)
-		indexed.EnableIndexedCandidates()
-		if !indexed.PrepareCandidates() {
-			t.Fatal("PrepareCandidates reported no index in indexed mode")
-		}
-		if st := indexed.IndexStats(); st.Bidders != 60 || st.Postings == 0 {
-			t.Fatalf("IndexStats = %+v, want 60 bidders with postings", st)
-		}
-		if !indexed.ConflictGraph().Equal(oracle) {
-			t.Fatalf("workers=%d: indexed auctioneer graph differs from oracle", workers)
-		}
-
-		// Interning disabled: the indexed knob must be ignored, not break.
-		ablated := buildRound(t, p, pts, bids, 2099)
-		ablated.SetWorkers(workers)
-		ablated.DisableInterning()
-		ablated.EnableIndexedCandidates()
-		if ablated.PrepareCandidates() {
-			t.Fatal("PrepareCandidates built an index under DisableInterning")
-		}
-		if st := ablated.IndexStats(); st != (mask.IndexStats{}) {
-			t.Fatalf("IndexStats under DisableInterning = %+v, want zero", st)
-		}
-		if !ablated.ConflictGraph().Equal(oracle) {
-			t.Fatalf("workers=%d: DisableInterning+indexed graph differs from oracle", workers)
-		}
-	}
-}
-
 // FuzzIndexedEquivalence replays arbitrary (seed, population, shape,
-// workers, interning) tuples: the indexed graph must stay bit-identical to
-// the all-pairs oracle on every one. All inputs derive from the fuzz
+// workers, validity) tuples: the auctioneer's indexed graph must stay
+// bit-identical to the all-pairs oracle, and its rank-cursor allocation to
+// Algorithm 3 over CompareGE — batch, or with a validity oracle voiding
+// every zero bid when interactive is set. All inputs derive from the fuzz
 // arguments, so any failure replays deterministically from its corpus file
 // (the FuzzDecodeFrame convention).
 func FuzzIndexedEquivalence(f *testing.F) {
@@ -155,43 +124,53 @@ func FuzzIndexedEquivalence(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false)
 
 	p := testParams()
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8, noIntern bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shapeRaw, workersRaw uint8, interactive bool) {
 		n := int(nRaw%48) + 1
 		shape := densityShapes[int(shapeRaw)%len(densityShapes)]
 		workers := int(workersRaw%5) + 1
-		subs := locSubs(t, p, shapePoints(p, shape, n, seed))
-
-		oracle := conflict.BuildFromPredicate(n, func(i, j int) bool {
-			return Conflicts(subs[i], subs[j])
-		})
-		if got := BuildConflictGraphIndexed(subs, workers); !got.Equal(oracle) {
-			t.Fatalf("seed=%d shape=%s n=%d workers=%d: indexed graph differs from oracle", seed, shape, n, workers)
-		}
-		if noIntern {
-			// The ablated representation must agree too (the indexed knob
-			// falls back to this oracle under DisableInterning).
-			if got := BuildConflictGraph(subs); !got.Equal(oracle) {
-				t.Fatalf("seed=%d shape=%s n=%d: interned oracle differs from map-based", seed, shape, n)
+		pts := shapePoints(p, shape, n, seed)
+		rng := rand.New(rand.NewSource(seed))
+		bids := make([][]uint64, n)
+		for i := range bids {
+			bids[i] = make([]uint64, p.Channels)
+			for r := range bids[i] {
+				if rng.Intn(3) > 0 {
+					bids[i][r] = uint64(rng.Intn(int(p.BMax))) + 1
+				}
 			}
 		}
+		var valid func(i, r int) bool
+		if interactive {
+			valid = func(i, r int) bool { return bids[i][r] > 0 }
+		}
+		auc := buildRound(t, p, pts, bids, seed)
+		auc.SetWorkers(workers)
+
+		want := oracleOf(t, auc, valid, seed)
+		raw := conflict.BuildFromPredicate(n, func(i, j int) bool {
+			return Conflicts(auc.locs[i], auc.locs[j])
+		})
+		if !want.graph.Equal(raw) {
+			t.Fatalf("seed=%d shape=%s n=%d: interned oracle differs from map-based", seed, shape, n)
+		}
+		matchOracle(t, fmt.Sprintf("seed=%d shape=%s n=%d workers=%d interactive=%v",
+			seed, shape, n, workers, interactive), auc, want, valid, seed)
 	})
 }
 
 // TestIndexObserverCounters pins the instrumentation contract: an observed
-// indexed build reports candidates exactly equal to the X-axis match count
+// graph build reports candidates exactly equal to the X-axis match count
 // (no hot rows at this size), confirms exactly equal to the edge count, a
 // plausible postings-scanned tally, and one index-build timing — while the
 // graph stays bit-identical to the unobserved build.
 func TestIndexObserverCounters(t *testing.T) {
 	p := testParams()
 	auc, pts, bids := randomRound(t, p, 50, 7)
-	auc.EnableIndexedCandidates()
 	reg := obs.NewRegistry()
 	auc.SetObserver(reg)
 	g := auc.ConflictGraph()
 
 	plain := buildRound(t, p, pts, bids, 1007)
-	plain.EnableIndexedCandidates()
 	if !g.Equal(plain.ConflictGraph()) {
 		t.Fatal("observed indexed graph differs from unobserved")
 	}
@@ -229,7 +208,6 @@ func TestIndexObserverCounters(t *testing.T) {
 func TestIndexCountersExported(t *testing.T) {
 	p := testParams()
 	auc, _, _ := randomRound(t, p, 40, 13)
-	auc.EnableIndexedCandidates()
 	reg := obs.NewRegistry()
 	auc.SetObserver(reg)
 	auc.ConflictGraph()

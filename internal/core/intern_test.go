@@ -1,8 +1,7 @@
 package core
 
 import (
-	"math/rand"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"lppa/internal/conflict"
@@ -37,57 +36,55 @@ func TestConflictGraphRepresentationEquivalence(t *testing.T) {
 	}
 }
 
-// TestAuctioneerRepresentationEquivalence runs the same round through an
-// interned and a map-based auctioneer (several seeds) and demands
-// identical transcripts and identical full allocations: the interned
-// representation may never change an auction outcome.
+// TestAuctioneerRepresentationEquivalence runs the same rounds (several
+// seeds, batch and interactive allocation) through the auctioneer and
+// through the reference round over its raw submissions, and demands
+// identical graphs, GE answers, transcripts and full allocations: the
+// interned representation may never change an auction outcome.
 func TestAuctioneerRepresentationEquivalence(t *testing.T) {
 	p := testParams()
 	for _, seed := range []int64{3, 11, 29} {
-		interned, _, _ := randomRound(t, p, 25, seed)
-		mapped, _, _ := randomRound(t, p, 25, seed)
-		mapped.DisableInterning()
-
-		if !interned.ConflictGraph().Equal(mapped.ConflictGraph()) {
-			t.Errorf("seed=%d: conflict graphs differ between representations", seed)
-		}
-		for r := 0; r < p.Channels; r++ {
-			for i := 0; i < interned.N(); i++ {
-				for j := 0; j < interned.N(); j++ {
-					if interned.GE(r, i, j) != mapped.GE(r, i, j) {
-						t.Fatalf("seed=%d r=%d: GE(%d,%d) differs between representations", seed, r, i, j)
+		for _, interactive := range []bool{false, true} {
+			auc, _, bids := randomRound(t, p, 25, seed)
+			var valid func(i, r int) bool
+			if interactive {
+				valid = func(i, r int) bool { return bids[i][r] > 0 }
+			}
+			want := oracleOf(t, auc, valid, seed*7)
+			for r := 0; r < p.Channels; r++ {
+				for i := 0; i < auc.N(); i++ {
+					for j := 0; j < auc.N(); j++ {
+						if auc.GE(r, i, j) != auc.rawGE(r, i, j) {
+							t.Fatalf("seed=%d r=%d: GE(%d,%d) differs from CompareGE", seed, r, i, j)
+						}
 					}
 				}
 			}
-		}
-		if !reflect.DeepEqual(interned.Rankings(), mapped.Rankings()) {
-			t.Errorf("seed=%d: rankings differ between representations", seed)
-		}
-		a1, err := interned.Allocate(rand.New(rand.NewSource(seed * 7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := mapped.Allocate(rand.New(rand.NewSource(seed * 7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a1, a2) {
-			t.Errorf("seed=%d: allocations differ between representations", seed)
+			matchOracle(t, fmt.Sprintf("seed=%d interactive=%v", seed, interactive), auc, want, valid, seed*7)
 		}
 	}
 }
 
 // TestGEMemoMatchesRawUnderInterning extends the memo-correctness anchor
-// to the interned build: every memoized GE answer must equal the direct
-// map-based masked intersection rawGE evaluates.
+// to both interned memo builds — the unsharded interned sort and the
+// sharded bid-class sort with per-tile merges: every memoized GE answer
+// must equal the direct masked intersection rawGE evaluates on the
+// submitted ChannelBids.
 func TestGEMemoMatchesRawUnderInterning(t *testing.T) {
 	p := testParams()
-	auc, _, _ := randomRound(t, p, 20, 47)
+	auc, pts, bids := randomRound(t, p, 20, 47)
+	sharded := buildRound(t, p, pts, bids, 1047)
+	if err := sharded.SetShardPlan(testPlan(t, p, pts, 4)); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < p.Channels; r++ {
 		for i := 0; i < auc.N(); i++ {
 			for j := 0; j < auc.N(); j++ {
 				if got, want := auc.GE(r, i, j), auc.rawGE(r, i, j); got != want {
 					t.Fatalf("r=%d: interned memo GE(%d,%d)=%v, raw=%v", r, i, j, got, want)
+				}
+				if got, want := sharded.GE(r, i, j), sharded.rawGE(r, i, j); got != want {
+					t.Fatalf("r=%d: sharded memo GE(%d,%d)=%v, raw=%v", r, i, j, got, want)
 				}
 			}
 		}

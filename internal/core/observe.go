@@ -9,8 +9,8 @@ import (
 
 // Observability wiring for the auctioneer (DESIGN.md §5c). The unobserved
 // hot paths — the shared conflict-graph builder (graphbuild.go),
-// columnRank's interned sort, GE's memo lookup — stay byte-identical to
-// before: attaching a registry swaps in counted twins of the same
+// columnRank's interned sort, the rank-cursor allocation — run without
+// counters: attaching a registry swaps in counted twins of the same
 // operations, and every predicate outcome is unchanged because the counted
 // mask operations delegate to the uncounted ones.
 
@@ -19,13 +19,13 @@ import (
 type aucObs struct {
 	comparisons   *obs.Counter // masked set intersections evaluated
 	bloomRejects  *obs.Counter // of those, decided by the Bloom pre-check
-	rankMemoHits  *obs.Counter // GE answers served from a built column memo
+	rankMemoHits  *obs.Counter // memo entries the rank-cursor allocator examined
 	rankBuilds    *obs.Counter // column memos built
 	internDigests *obs.Counter // digests pushed through intern dictionaries
 	internHits    *obs.Counter // of those, already present (dedup wins)
 	internMisses  *obs.Counter // of those, first sightings (distinct digests)
 
-	// Indexed candidate generation (graphbuild.go, indexed builds only).
+	// Candidate generation over the inverted index (graphbuild.go).
 	indexPostings   *obs.Counter   // posting-list entries scanned for candidates
 	indexCandidates *obs.Counter   // candidate pairs handed to the oracle confirm
 	indexConfirms   *obs.Counter   // of those, confirmed as real conflicts
@@ -94,29 +94,18 @@ func (o *aucObs) flushStats(st *mask.IntersectStats) {
 	o.bloomRejects.Add(st.BloomRejects)
 }
 
-// geFunc returns the comparator handed to the allocator: GE itself when
-// unobserved (no wrapper, no branch in the hot loop), or a thin wrapper
-// that counts each rank-memo lookup.
-func (a *Auctioneer) geFunc() func(r, i, j int) bool {
-	if a.ob == nil {
-		return a.GE
-	}
-	hits := a.ob.rankMemoHits
-	return func(r, i, j int) bool {
-		hits.Inc()
-		return a.GE(r, i, j)
-	}
-}
-
 // servedHook returns the rank-cursor allocator's telemetry callback: each
 // memo entry the allocator examines counts as one memo hit, attributed to
-// the bidder's home tile. Nil — no callback, no per-entry branch — when
-// unobserved.
+// the bidder's home tile under a shard plan. Nil — no callback, no
+// per-entry branch — when unobserved.
 func (a *Auctioneer) servedHook() func(bidder int) {
 	if a.ob == nil {
 		return nil
 	}
 	hits := a.ob.rankMemoHits
+	if a.plan == nil {
+		return func(int) { hits.Inc() }
+	}
 	home := a.plan.Home
 	shard := a.ob.shardMemoHits
 	return func(bidder int) {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"lppa/internal/obs"
@@ -10,40 +10,30 @@ import (
 
 // TestObservedAuctioneerIdenticalResults pins the observability contract:
 // attaching a registry may never change a graph, a ranking, or an
-// allocation — only count them. Checked across representations and worker
-// counts.
+// allocation — only count them. The observed and unobserved auctioneers
+// must both match the reference round, unsharded and sharded, at every
+// worker count.
 func TestObservedAuctioneerIdenticalResults(t *testing.T) {
 	p := testParams()
 	for _, seed := range []int64{5, 17} {
-		for _, noIntern := range []bool{false, true} {
+		for _, shards := range []int{0, 4} {
 			for _, workers := range []int{1, 4} {
-				plain, _, _ := randomRound(t, p, 25, seed)
+				plain, pts, _ := randomRound(t, p, 25, seed)
 				watched, _, _ := randomRound(t, p, 25, seed)
-				if noIntern {
-					plain.DisableInterning()
-					watched.DisableInterning()
-				}
+				want := oracleOf(t, plain, nil, seed*3)
 				plain.SetWorkers(workers)
 				watched.SetWorkers(workers)
 				watched.SetObserver(obs.NewRegistry())
-
-				if !plain.ConflictGraph().Equal(watched.ConflictGraph()) {
-					t.Errorf("seed=%d noIntern=%v workers=%d: observed graph differs", seed, noIntern, workers)
+				if shards > 0 {
+					for _, a := range []*Auctioneer{plain, watched} {
+						if err := a.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-				if !reflect.DeepEqual(plain.Rankings(), watched.Rankings()) {
-					t.Errorf("seed=%d noIntern=%v workers=%d: observed rankings differ", seed, noIntern, workers)
-				}
-				a1, err := plain.Allocate(rand.New(rand.NewSource(seed * 3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				a2, err := watched.Allocate(rand.New(rand.NewSource(seed * 3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a1, a2) {
-					t.Errorf("seed=%d noIntern=%v workers=%d: observed allocation differs", seed, noIntern, workers)
-				}
+				tag := fmt.Sprintf("seed=%d shards=%d workers=%d", seed, shards, workers)
+				matchOracle(t, tag+"/plain", plain, want, nil, seed*3)
+				matchOracle(t, tag+"/observed", watched, want, nil, seed*3)
 			}
 		}
 	}

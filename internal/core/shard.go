@@ -113,11 +113,11 @@ func (a *Auctioneer) ShardSizes() []int {
 }
 
 // ShardIndexStats describes each tile's candidate index after a sharded
-// indexed conflict-graph build (forcing the build if needed): the skew
-// guard inside each tile is calibrated to that tile's population, not the
-// global n. Nil when unsharded, not indexed, or interning is disabled.
+// conflict-graph build (forcing the build if needed): the skew guard inside
+// each tile is calibrated to that tile's population, not the global n. Nil
+// when unsharded.
 func (a *Auctioneer) ShardIndexStats() []mask.IndexStats {
-	if a.plan == nil || a.noIntern || !a.indexed {
+	if a.plan == nil {
 		return nil
 	}
 	a.ConflictGraph()
@@ -177,60 +177,36 @@ func mergeAscending(a, b []int) []int {
 
 // buildGraphSharded is buildGraph's tile-sharded twin: each tile evaluates
 // the exact conflict predicate over its own members (residents plus border
-// visitors) — through a tile-local candidate index in indexed mode — and
-// the per-tile edge lists are merged into one graph. Coverage: if i and j
-// conflict, each lies inside the other's interference square, so j is a
-// member (resident or visitor) of i's home tile and vice versa; every true
-// edge is therefore proposed by at least one tile, and AddEdge dedupes the
-// border pairs both sides propose. The merged graph is bit-identical to
-// the unsharded build.
+// visitors) through a tile-local candidate index, and the per-tile edge
+// lists are merged into one graph. Coverage: if i and j conflict, each
+// lies inside the other's interference square, so j is a member (resident
+// or visitor) of i's home tile and vice versa; every true edge is
+// therefore proposed by at least one tile, and AddEdge dedupes the border
+// pairs both sides propose. The merged graph is bit-identical to the
+// unsharded build.
 func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
 	n := len(a.locs)
 	plan := a.plan
 	tiles := plan.Tiles
 
+	iloc, _ := a.internedView()
 	var calls, rejects atomic.Uint64
-	var pred func(i, j int) bool
-	var iloc []internedLocation
-	var keys []string
-	useIndex := false
-	if a.noIntern {
-		pred = func(i, j int) bool { return Conflicts(a.locs[i], a.locs[j]) }
-		if a.ob != nil {
-			pred = func(i, j int) bool {
-				c := uint64(1)
-				ok := a.locs[i].XFamily.Intersects(a.locs[j].XRange)
-				if ok {
-					c++
-					ok = a.locs[i].YFamily.Intersects(a.locs[j].YRange)
-				}
-				calls.Add(c)
-				return ok
-			}
+	pred := func(i, j int) bool { return iloc[i].conflicts(&iloc[j]) }
+	if a.ob != nil {
+		pred = func(i, j int) bool {
+			var st mask.IntersectStats
+			ok := iloc[i].conflictsCounted(&iloc[j], &st)
+			calls.Add(st.Calls)
+			rejects.Add(st.BloomRejects)
+			return ok
 		}
-	} else {
-		iloc, _ = a.internedView()
-		useIndex = a.indexed
-		pred = func(i, j int) bool { return iloc[i].conflicts(&iloc[j]) }
-		if a.ob != nil {
-			pred = func(i, j int) bool {
-				var st mask.IntersectStats
-				ok := iloc[i].conflictsCounted(&iloc[j], &st)
-				calls.Add(st.Calls)
-				rejects.Add(st.BloomRejects)
-				return ok
-			}
-		}
-		keys = locationKeys(iloc)
 	}
+	keys := locationKeys(iloc)
 
 	// Per-tile edge lists (packed i<<32|j with i < j), merged serially
 	// below: workers never touch the shared graph's bitset words.
 	edges := make([][]uint64, len(tiles))
-	var ixStats []mask.IndexStats
-	if useIndex {
-		ixStats = make([]mask.IndexStats, len(tiles))
-	}
+	ixStats := make([]mask.IndexStats, len(tiles))
 	var scanned, emitted atomic.Uint64
 
 	a.forEachTile(func(t int) {
@@ -241,27 +217,45 @@ func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
 		}
 		members := mergeAscending(tile.Residents, tile.Visitors)
 		var out []uint64
-		if keys != nil {
-			// Distinct-location grouping: co-located bidders have identical
-			// masked families (location masking is deterministic under the
-			// shared key), so the predicate is evaluated once per distinct
-			// location pair and its verdict fanned out to every member
-			// cross-pair. Same-location pairs are unconditional edges — the
-			// exact predicate is Chebyshev distance < 2λ, and distance 0
-			// always qualifies. In dense tiles this collapses the quadratic
-			// sweep from members² to distinct-locations².
-			groupOf := make(map[string]int, len(members))
-			groups := make([][]int, 0, len(members))
-			for _, m := range members {
-				k := keys[m]
-				if g, ok := groupOf[k]; ok {
-					groups[g] = append(groups[g], m)
-				} else {
-					groupOf[k] = len(groups)
-					groups = append(groups, []int{m})
+		// Distinct-location grouping: co-located bidders have identical
+		// masked families (location masking is deterministic under the
+		// shared key), so the predicate is evaluated once per distinct
+		// location pair and its verdict fanned out to every member
+		// cross-pair. Same-location pairs are unconditional edges — the
+		// exact predicate is Chebyshev distance < 2λ, and distance 0 always
+		// qualifies. In dense tiles this collapses the quadratic sweep from
+		// members² to distinct-locations².
+		groupOf := make(map[string]int, len(members))
+		groups := make([][]int, 0, len(members))
+		for _, m := range members {
+			k := keys[m]
+			if g, ok := groupOf[k]; ok {
+				groups[g] = append(groups[g], m)
+			} else {
+				groupOf[k] = len(groups)
+				groups = append(groups, []int{m})
+			}
+		}
+		// Tile-local inverted index over one representative per distinct
+		// location: groups are numbered 0..G-1 in first-appearance order,
+		// and the skew guard's auto threshold max(64, G/8) is calibrated to
+		// the tile's distinct population G.
+		ix := mask.NewIndex(len(groups))
+		for _, A := range groups {
+			ix.Add(iloc[A[0]].xFamily, iloc[A[0]].xRange)
+		}
+		cur := ix.Cursor()
+		for ga, A := range groups {
+			for x := range A {
+				for y := x + 1; y < len(A); y++ {
+					out = append(out, uint64(A[x])<<32|uint64(A[y]))
 				}
 			}
-			emit := func(A, B []int) {
+			for _, gb := range cur.Row(ga) {
+				B := groups[gb]
+				if !pred(A[0], B[0]) {
+					continue
+				}
 				for _, i := range A {
 					for _, j := range B {
 						if i < j {
@@ -272,56 +266,11 @@ func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
 					}
 				}
 			}
-			intra := func(A []int) {
-				for x := range A {
-					for y := x + 1; y < len(A); y++ {
-						out = append(out, uint64(A[x])<<32|uint64(A[y]))
-					}
-				}
-			}
-			if useIndex {
-				// Tile-local inverted index over one representative per
-				// distinct location: groups are numbered 0..G-1 in first-
-				// appearance order, and the skew guard's auto threshold
-				// max(64, G/8) is calibrated to the tile's distinct
-				// population G.
-				ix := mask.NewIndex(len(groups))
-				for _, A := range groups {
-					ix.Add(iloc[A[0]].xFamily, iloc[A[0]].xRange)
-				}
-				cur := ix.Cursor()
-				for ga, A := range groups {
-					intra(A)
-					for _, gb := range cur.Row(ga) {
-						if B := groups[gb]; pred(A[0], B[0]) {
-							emit(A, B)
-						}
-					}
-				}
-				s, e := cur.Stats()
-				scanned.Add(s)
-				emitted.Add(e)
-				ixStats[t] = ix.Stats()
-			} else {
-				for ga, A := range groups {
-					intra(A)
-					for _, B := range groups[ga+1:] {
-						if pred(A[0], B[0]) {
-							emit(A, B)
-						}
-					}
-				}
-			}
-		} else {
-			// noIntern: no canonical IDs to group on — plain member sweep.
-			for li, gi := range members {
-				for _, gj := range members[li+1:] {
-					if pred(gi, gj) {
-						out = append(out, uint64(gi)<<32|uint64(gj))
-					}
-				}
-			}
 		}
+		s, e := cur.Stats()
+		scanned.Add(s)
+		emitted.Add(e)
+		ixStats[t] = ix.Stats()
 		edges[t] = out
 		if done != nil {
 			done(len(out))
@@ -339,11 +288,9 @@ func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
 	if a.ob != nil {
 		a.ob.comparisons.Add(calls.Load())
 		a.ob.bloomRejects.Add(rejects.Load())
-		if useIndex {
-			a.ob.indexPostings.Add(scanned.Load())
-			a.ob.indexCandidates.Add(emitted.Load())
-			a.ob.indexConfirms.Add(uint64(g.Edges()))
-		}
+		a.ob.indexPostings.Add(scanned.Load())
+		a.ob.indexCandidates.Add(emitted.Load())
+		a.ob.indexConfirms.Add(uint64(g.Edges()))
 	}
 	return g
 }
@@ -379,10 +326,9 @@ func locationKeys(iloc []internedLocation) []string {
 // each tile's residents are an index-ascending subsequence, so their
 // stable sort is sorted under the same key; merging with the tie rule
 // "equal bids → smaller index first" is therefore exactly the global
-// order. GE calls land in st (per-tile instances are folded in before the
-// merge's own calls).
+// order.
 //
-// With an interned column in hand the masked comparisons collapse to
+// The masked comparisons (ge, over the interned column col) collapse to
 // integers first: bidders with identical digest sets (same interned IDs)
 // are one bid class, the class representatives are sorted once under the
 // masked order with ge-equal classes folded into one value rank, and the
@@ -391,55 +337,31 @@ func locationKeys(iloc []internedLocation) []string {
 // stable sort; only the number of masked intersections changes (O(C log C)
 // for C classes instead of O(n log n) — disguise-heavy columns degrade
 // gracefully to C ≈ n).
-func (a *Auctioneer) shardedOrder(r int, mk geFactory, col []internedChannelBid, st *mask.IntersectStats) []int {
+func (a *Auctioneer) shardedOrder(r int, col []internedChannelBid, ge func(r, i, j int) bool) []int {
 	tiles := a.plan.Tiles
 	runs := make([][]int, len(tiles))
-	stats := make([]mask.IntersectStats, len(tiles))
 
-	var precedeTile func(ge func(r, i, j int) bool) func(i, j int) bool
-	if col != nil {
-		valueRank := bidValueRanks(r, col, mk(st))
-		precedeTile = func(func(r, i, j int) bool) func(i, j int) bool {
-			return func(i, j int) bool {
-				if valueRank[i] != valueRank[j] {
-					return valueRank[i] < valueRank[j]
-				}
-				return i < j // tie: ascending index, the stable-sort rule
-			}
+	valueRank := bidValueRanks(r, col, ge)
+	precede := func(i, j int) bool {
+		if valueRank[i] != valueRank[j] {
+			return valueRank[i] < valueRank[j]
 		}
-	} else {
-		precedeTile = func(ge func(r, i, j int) bool) func(i, j int) bool {
-			return func(i, j int) bool {
-				if !ge(r, i, j) {
-					return false // j strictly above i
-				}
-				if !ge(r, j, i) {
-					return true // i strictly above j
-				}
-				return i < j // tie: ascending index, the stable-sort rule
-			}
-		}
+		return i < j // tie: ascending index, the stable-sort rule
 	}
 
 	a.forEachTile(func(t int) {
-		precede := precedeTile(mk(&stats[t]))
 		order := append([]int(nil), tiles[t].Residents...)
 		sort.SliceStable(order, func(x, y int) bool {
 			return precede(order[x], order[y])
 		})
 		runs[t] = order
 	})
-	for t := range stats {
-		st.Calls += stats[t].Calls
-		st.BloomRejects += stats[t].BloomRejects
-	}
 	if a.ob != nil {
 		for t := range tiles {
 			a.ob.shardRankBuilds[t].Inc()
 		}
 	}
 
-	precede := precedeTile(mk(st))
 	for len(runs) > 1 {
 		next := make([][]int, 0, (len(runs)+1)/2)
 		for x := 0; x+1 < len(runs); x += 2 {

@@ -45,9 +45,9 @@ func testPlan(t *testing.T, p Params, pts []geo.Point, shards int) *ShardPlan {
 }
 
 // TestShardedAuctioneerIdentity pins the core contract: for every density
-// shape, candidate strategy, representation, and worker count, the sharded
-// auctioneer's conflict graph, rankings, and allocation are bit-identical
-// to the unsharded one.
+// shape, shard count and worker count, the sharded auctioneer's conflict
+// graph, rankings, and allocation are bit-identical to the reference
+// round — and so, through the same oracle, to the unsharded auctioneer.
 func TestShardedAuctioneerIdentity(t *testing.T) {
 	p := testParams()
 	const n = 60
@@ -61,43 +61,18 @@ func TestShardedAuctioneerIdentity(t *testing.T) {
 				bids[i][r] = uint64(rng.Intn(int(p.BMax) + 1))
 			}
 		}
-		oracle := buildRound(t, p, pts, bids, 99)
-		wantGraph := oracle.ConflictGraph()
-		wantRanks := oracle.Rankings()
-		wantAwards, err := oracle.AllocateAwards(rand.New(rand.NewSource(55)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleOf(t, buildRound(t, p, pts, bids, 99), nil, 55)
+		matchOracle(t, shape+"/unsharded", buildRound(t, p, pts, bids, 99), want, nil, 55)
 
 		for _, shards := range []int{1, 4, 9} {
 			for _, workers := range []int{1, 4} {
-				for _, mode := range []string{"plain", "indexed", "nointern"} {
-					tag := fmt.Sprintf("%s/shards=%d/workers=%d/%s", shape, shards, workers, mode)
-					auc := buildRound(t, p, pts, bids, 99)
-					auc.SetWorkers(workers)
-					switch mode {
-					case "indexed":
-						auc.EnableIndexedCandidates()
-					case "nointern":
-						auc.DisableInterning()
-					}
-					if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if !auc.ConflictGraph().Equal(wantGraph) {
-						t.Errorf("%s: sharded graph differs from oracle", tag)
-					}
-					if !reflect.DeepEqual(auc.Rankings(), wantRanks) {
-						t.Errorf("%s: sharded rankings differ from oracle", tag)
-					}
-					awards, err := auc.AllocateAwards(rand.New(rand.NewSource(55)))
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if !reflect.DeepEqual(awards, wantAwards) {
-						t.Errorf("%s: sharded awards differ from oracle\n got %v\nwant %v", tag, awards, wantAwards)
-					}
+				tag := fmt.Sprintf("%s/shards=%d/workers=%d", shape, shards, workers)
+				auc := buildRound(t, p, pts, bids, 99)
+				auc.SetWorkers(workers)
+				if err := auc.SetShardPlan(testPlan(t, p, pts, shards)); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
+				matchOracle(t, tag, auc, want, nil, 55)
 			}
 		}
 	}
@@ -154,7 +129,7 @@ func TestSetShardPlanValidation(t *testing.T) {
 	}
 }
 
-// TestShardSkewGuardPerTile pins the satellite fix: the indexed skew guard
+// TestShardSkewGuardPerTile pins the per-tile calibration: the skew guard
 // is calibrated to each tile's population, not the global n. 70 distinct
 // bidders sharing one x column inside one tile post that column's family
 // digests 70 times, exceeding the tile's auto threshold max(64, G/8), and
@@ -179,20 +154,18 @@ func TestShardSkewGuardPerTile(t *testing.T) {
 	}
 
 	global := buildRound(t, p, pts, bids, 12)
-	global.EnableIndexedCandidates()
 	if st := global.IndexStats(); st.HotDigests != 0 {
 		t.Fatalf("global index HotDigests = %d, want 0 (threshold n/8 = %d > stack of %d)",
 			st.HotDigests, len(pts)/8, stacked)
 	}
 
 	sharded := buildRound(t, p, pts, bids, 12)
-	sharded.EnableIndexedCandidates()
 	if err := sharded.SetShardPlan(testPlan(t, p, pts, 64)); err != nil {
 		t.Fatal(err)
 	}
 	stats := sharded.ShardIndexStats()
 	if stats == nil {
-		t.Fatal("ShardIndexStats nil on sharded indexed auctioneer")
+		t.Fatal("ShardIndexStats nil on sharded auctioneer")
 	}
 	hotTiles, hotRows := 0, 0
 	for _, st := range stats {
@@ -209,8 +182,12 @@ func TestShardSkewGuardPerTile(t *testing.T) {
 	}
 
 	// And the guard difference never changes the graph.
-	if !sharded.ConflictGraph().Equal(global.ConflictGraph()) {
-		t.Error("sharded graph differs from global indexed graph")
+	oracle := BuildConflictGraph(sharded.locs)
+	if !sharded.ConflictGraph().Equal(oracle) {
+		t.Error("sharded graph differs from the all-pairs oracle")
+	}
+	if !global.ConflictGraph().Equal(oracle) {
+		t.Error("global indexed graph differs from the all-pairs oracle")
 	}
 }
 

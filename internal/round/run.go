@@ -46,8 +46,6 @@ type runConfig struct {
 	policies    []core.DisguisePolicy
 	interactive bool
 	secondPrice bool
-	noIntern    bool
-	indexed     bool
 	shards      int
 	quorum      int
 	straggler   time.Duration
@@ -218,33 +216,6 @@ func WithEpochNumber(n int) Option {
 func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 	return func(c *runConfig) error {
 		c.onPhase = fn
-		return nil
-	}
-}
-
-// WithoutInterning makes the auctioneer evaluate masked set operations on
-// the slice-backed mask.Set itself — linear scans, the test oracle —
-// instead of interned ID slices (DESIGN.md §5b). Ablation/testing knob:
-// results are identical either way.
-func WithoutInterning() Option {
-	return func(c *runConfig) error {
-		c.noIntern = true
-		return nil
-	}
-}
-
-// WithIndexedCandidates switches conflict-candidate generation onto the
-// inverted index over interned masked digests (DESIGN.md §5f): candidate
-// pairs come from posting-list self-joins instead of the all-pairs sweep,
-// and only candidates are confirmed with the exact masked intersection.
-// The graph — and therefore the auction result — is bit-identical to the
-// default all-pairs oracle, which stays the verification path; this option
-// only changes how much work finds it. Default off. Combined with
-// WithoutInterning the index is skipped (it requires interned IDs) and the
-// oracle runs unchanged.
-func WithIndexedCandidates() Option {
-	return func(c *runConfig) error {
-		c.indexed = true
 		return nil
 	}
 }
@@ -436,12 +407,16 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 //     masked data (Algorithm 3).
 //  4. The TTP adjudicates the winners' charges; voided awards are dropped.
 //
+// The auctioneer has one execution path: the conflict graph comes from the
+// inverted candidate index over interned digests (tile-local indexes
+// under WithShards), and allocation is the rank-cursor engine over the
+// per-column rank memos — bit-identical to the all-pairs graph and to
+// Algorithm 3 over the masked comparator, which stay as test oracles.
 // Options select the execution and charging shape: WithWorkers for the
-// goroutine count, WithPolicies for per-bidder disguise,
-// WithInteractiveCharging or WithSecondPrice (mutually exclusive) for the
-// charging design, WithObserver for metrics, WithoutInterning for the
-// representation ablation. A fixed Input.Rng seed fixes the round at
-// every worker count.
+// goroutine count, WithShards for tile sharding, WithPolicies for
+// per-bidder disguise, WithInteractiveCharging or WithSecondPrice
+// (mutually exclusive) for the charging design, WithObserver for
+// metrics. A fixed Input.Rng seed fixes the round at every worker count.
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
 	cfg := runConfig{workers: 1}
 	for _, opt := range opts {
@@ -585,12 +560,6 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		return nil, err
 	}
 	auc.SetWorkers(workers)
-	if cfg.noIntern {
-		auc.DisableInterning()
-	}
-	if cfg.indexed {
-		auc.EnableIndexedCandidates()
-	}
 	auc.SetObserver(cfg.reg)
 
 	if cfg.shards > 0 {
@@ -625,18 +594,16 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 	// the allocator build it lazily) changes nothing except giving the
 	// phase its own wall-time series.
 	ph.phase("conflict_graph")
-	if cfg.indexed {
-		// Candidate-generation setup (interning + inverted-index posting)
-		// gets its own child span under conflict_graph, so traces separate
-		// index cost from oracle-confirm cost. Metrics-wise it stays inside
-		// the conflict_graph phase either way.
-		var sp *obs.Span
-		if ph.tracer != nil {
-			sp = ph.tracer.StartSpan("candidate_generation", ph.cur.Context())
-		}
-		auc.PrepareCandidates()
-		sp.End()
+	// Candidate-generation setup (interning, plus inverted-index posting
+	// when unsharded) gets its own child span under conflict_graph, so
+	// traces separate index cost from confirm cost. Metrics-wise it stays
+	// inside the conflict_graph phase.
+	var sp *obs.Span
+	if ph.tracer != nil {
+		sp = ph.tracer.StartSpan("candidate_generation", ph.cur.Context())
 	}
+	auc.PrepareCandidates()
+	sp.End()
 	auc.ConflictGraph()
 
 	ph.phase("allocate")

@@ -14,8 +14,7 @@ import (
 // TestRunQuorumGridFaultFreeIdentical pins WithQuorum's no-op contract
 // across the option grid: on fault-free inputs, adding a quorum (any
 // threshold) must leave the round bit-identical to the same combination
-// without it — for every charging rule, interning mode, and worker
-// count, across seeds. The optionless row must also equal WithWorkers(1).
+// without it — for every charging rule and worker count, across seeds. The optionless row must also equal WithWorkers(1).
 func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 0.6, Decay: 0.95}
 	const n = 16
@@ -35,13 +34,6 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		{"firstprice", nil},
 		{"secondprice", []Option{WithSecondPrice()}},
 	}
-	interning := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"intern", nil},
-		{"nointern", []Option{WithoutInterning()}},
-	}
 	quorums := []struct {
 		tag  string
 		opts []Option
@@ -55,34 +47,32 @@ func TestRunQuorumGridFaultFreeIdentical(t *testing.T) {
 		p, ring, pts, bids := parallelFixture(t, n, 2, seed)
 		for _, pl := range pipelines {
 			for _, ch := range charging {
-				for _, it := range interning {
-					base := append(append(append([]Option(nil), pl.opts...), ch.opts...), it.opts...)
-					run := func(extra ...Option) *Result {
-						t.Helper()
-						res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
-							Rng: rand.New(rand.NewSource(seed * 7))}, append(append([]Option(nil), base...), extra...)...)
-						if err != nil {
-							t.Fatalf("%s/%s/%s seed=%d: %v", pl.tag, ch.tag, it.tag, seed, err)
-						}
-						return res
+				base := append(append([]Option(nil), pl.opts...), ch.opts...)
+				run := func(extra ...Option) *Result {
+					t.Helper()
+					res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: pol,
+						Rng: rand.New(rand.NewSource(seed * 7))}, append(append([]Option(nil), base...), extra...)...)
+					if err != nil {
+						t.Fatalf("%s/%s seed=%d: %v", pl.tag, ch.tag, seed, err)
 					}
-					want := run()
-					if pl.opts == nil {
-						sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"=workers1", run(WithWorkers(1)), want)
-					}
-					for _, q := range quorums {
-						tag := pl.tag + "/" + ch.tag + "/" + it.tag + "/" + q.tag
-						got := run(q.opts...)
-						sameResult(t, tag, want, got)
-						if len(got.Excluded) != 0 {
-							t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
-						}
-					}
-					// A straggler timeout is likewise a fault-free no-op
-					// (generous deadline, nobody straggles).
-					got := run(WithStragglerTimeout(time.Minute))
-					sameResult(t, pl.tag+"/"+ch.tag+"/"+it.tag+"/straggler", want, got)
+					return res
 				}
+				want := run()
+				if pl.opts == nil {
+					sameResult(t, pl.tag+"/"+ch.tag+"=workers1", run(WithWorkers(1)), want)
+				}
+				for _, q := range quorums {
+					tag := pl.tag + "/" + ch.tag + "/" + q.tag
+					got := run(q.opts...)
+					sameResult(t, tag, want, got)
+					if len(got.Excluded) != 0 {
+						t.Errorf("%s seed=%d: fault-free round excluded %v", tag, seed, got.Excluded)
+					}
+				}
+				// A straggler timeout is likewise a fault-free no-op
+				// (generous deadline, nobody straggles).
+				got := run(WithStragglerTimeout(time.Minute))
+				sameResult(t, pl.tag+"/"+ch.tag+"/straggler", want, got)
 			}
 		}
 	}

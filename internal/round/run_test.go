@@ -49,7 +49,6 @@ func TestRunObserverDoesNotChangeResults(t *testing.T) {
 		{"workers4", []Option{WithWorkers(4)}},
 		{"interactive", []Option{WithInteractiveCharging()}},
 		{"secondprice", []Option{WithSecondPrice()}},
-		{"nointern", []Option{WithWorkers(2), WithoutInterning()}},
 	}
 	for _, seed := range []int64{4, 21} {
 		p, ring, pts, bids := parallelFixture(t, 20, 2, seed)

@@ -11,18 +11,18 @@ import (
 )
 
 // FuzzShardBoundaryEquivalence replays arbitrary (seed, population, shard
-// count, pipeline, knobs) tuples with every bidder snapped onto or next to
+// count, pipeline) tuples with every bidder snapped onto or next to
 // a tile boundary — the coordinates where the border-band bookkeeping has
 // zero slack — and pins the sharded round bit-identical to the unsharded
 // one. All inputs derive from the fuzz arguments, so failures replay
 // deterministically from the corpus file.
 func FuzzShardBoundaryEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(4), uint8(1), false, false)
-	f.Add(int64(2), uint8(25), uint8(8), uint8(3), true, false)
-	f.Add(int64(3), uint8(7), uint8(2), uint8(2), false, true)
-	f.Add(int64(0), uint8(0), uint8(0), uint8(0), false, false)
+	f.Add(int64(1), uint8(12), uint8(4), uint8(1))
+	f.Add(int64(2), uint8(25), uint8(8), uint8(3))
+	f.Add(int64(3), uint8(7), uint8(2), uint8(2))
+	f.Add(int64(0), uint8(0), uint8(0), uint8(0))
 
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, shardsRaw, workersRaw uint8, indexed, noIntern bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, shardsRaw, workersRaw uint8) {
 		n := int(nRaw%32) + 1
 		shards := int(shardsRaw%15) + 1
 		workers := int(workersRaw % 5) // 0 = no WithWorkers option
@@ -63,12 +63,6 @@ func FuzzShardBoundaryEquivalence(f *testing.F) {
 		if workers > 0 {
 			base = append(base, WithWorkers(workers))
 		}
-		if indexed {
-			base = append(base, WithIndexedCandidates())
-		}
-		if noIntern {
-			base = append(base, WithoutInterning())
-		}
 		run := func(extra ...Option) *Result {
 			res, err := Run(p, ring, Input{Points: pts, Bids: bids, Policy: core.DisguisePolicy{P0: 1},
 				Rng: rand.New(rand.NewSource(seed * 13))}, append(append([]Option(nil), base...), extra...)...)
@@ -80,8 +74,8 @@ func FuzzShardBoundaryEquivalence(f *testing.F) {
 		want := run()
 		got := run(WithShards(shards))
 		if !reflect.DeepEqual(want.Outcome, got.Outcome) {
-			t.Fatalf("seed=%d n=%d shards=%d workers=%d indexed=%v noIntern=%v: outcomes differ",
-				seed, n, shards, workers, indexed, noIntern)
+			t.Fatalf("seed=%d n=%d shards=%d workers=%d: outcomes differ",
+				seed, n, shards, workers)
 		}
 		if !want.Auctioneer.ConflictGraph().Equal(got.Auctioneer.ConflictGraph()) {
 			t.Fatalf("seed=%d n=%d shards=%d: conflict graphs differ", seed, n, shards)

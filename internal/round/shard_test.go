@@ -49,8 +49,7 @@ func runShardPair(t *testing.T, tag string, p core.Params, pts []geo.Point, bids
 }
 
 // TestRunShardGridEquivalence is the tentpole equivalence grid: for every
-// pipeline shape × interning mode × candidate strategy × charging rule ×
-// density shape, WithShards(k) must be bit-identical to the unsharded
+// pipeline shape × charging rule × density shape, WithShards(k) must be bit-identical to the unsharded
 // round — including k = 1, the degenerate single-tile case. The
 // optionless pipeline row must also equal WithWorkers(1).
 func TestRunShardGridEquivalence(t *testing.T) {
@@ -63,20 +62,6 @@ func TestRunShardGridEquivalence(t *testing.T) {
 	}{
 		{"default", nil},
 		{"workers4", []Option{WithWorkers(4)}},
-	}
-	interning := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"intern", nil},
-		{"nointern", []Option{WithoutInterning()}},
-	}
-	candidates := []struct {
-		tag  string
-		opts []Option
-	}{
-		{"oracle", nil},
-		{"indexed", []Option{WithIndexedCandidates()}},
 	}
 	charging := []struct {
 		tag  string
@@ -123,21 +108,16 @@ func TestRunShardGridEquivalence(t *testing.T) {
 		for _, de := range densities {
 			pts := de.pts(rng)
 			for _, pl := range pipelines {
-				for _, it := range interning {
-					for _, ca := range candidates {
-						for _, ch := range charging {
-							base := append(append(append([]Option(nil), pl.opts...), it.opts...), ca.opts...)
-							base = append(base, ch.opts...)
-							tag := de.tag + "/" + pl.tag + "/" + it.tag + "/" + ca.tag + "/" + ch.tag
-							var want *Result
-							for _, shards := range []int{1, 2, 4, 8} {
-								want = runShardPair(t, tag, p, pts, bids, pol, seed*7, base, shards)
-							}
-							if pl.opts == nil {
-								defaultIsWorkers1(t, tag, want, p, shardRing(t, p), Input{Points: pts, Bids: bids,
-									Policy: pol, Rng: rand.New(rand.NewSource(seed * 7))}, base...)
-							}
-						}
+				for _, ch := range charging {
+					base := append(append([]Option(nil), pl.opts...), ch.opts...)
+					tag := de.tag + "/" + pl.tag + "/" + ch.tag
+					var want *Result
+					for _, shards := range []int{1, 2, 4, 8} {
+						want = runShardPair(t, tag, p, pts, bids, pol, seed*7, base, shards)
+					}
+					if pl.opts == nil {
+						defaultIsWorkers1(t, tag, want, p, shardRing(t, p), Input{Points: pts, Bids: bids,
+							Policy: pol, Rng: rand.New(rand.NewSource(seed * 7))}, base...)
 					}
 				}
 			}
@@ -175,8 +155,8 @@ func TestRunShardBoundaryBidders(t *testing.T) {
 	pol := core.DisguisePolicy{P0: 1}
 	for _, shards := range []int{1, 4, 8, 16} {
 		runShardPair(t, "boundary", p, pts, bids, pol, 23, nil, shards)
-		runShardPair(t, "boundary-indexed", p, pts, bids, pol, 23,
-			[]Option{WithIndexedCandidates(), WithWorkers(4)}, shards)
+		runShardPair(t, "boundary-workers4", p, pts, bids, pol, 23,
+			[]Option{WithWorkers(4)}, shards)
 	}
 }
 

@@ -22,9 +22,12 @@
 //	})
 //
 // Run accepts functional options: WithWorkers for the goroutine count
-// (results are identical at every count), WithSecondPrice / WithInteractiveCharging for the
-// alternative charging rules, and WithObserver to record phase timings and
-// protocol counters into a metrics Registry (see DESIGN.md §5c).
+// (results are identical at every count), WithShards to tile-shard the
+// auctioneer (also result-neutral; the only execution-shape option, since
+// the auctioneer has one execution path — see DESIGN.md §5f),
+// WithSecondPrice / WithInteractiveCharging for the alternative charging
+// rules, and WithObserver to record phase timings and protocol counters
+// into a metrics Registry (see DESIGN.md §5c).
 //
 // See examples/ for complete programs and cmd/lppa-sim for the paper's
 // full evaluation suite.
@@ -327,11 +330,6 @@ func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStraggle
 // unsharded round for any k; only the cost profile changes. See DESIGN.md
 // §5g.
 func WithShards(k int) RunOption { return round.WithShards(k) }
-
-// WithIndexedCandidates switches conflict-candidate generation onto the
-// inverted row index (DESIGN.md §5f). Results are bit-identical to the
-// default scan; only the cost profile changes with placement density.
-func WithIndexedCandidates() RunOption { return round.WithIndexedCandidates() }
 
 // EpochState carries the population-independent pieces of a round —
 // the auctioneer and the shard planner's tile grid — across back-to-back
