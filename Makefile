@@ -72,11 +72,15 @@ trace-guard:
 # stay allocation-free (ceiling 0, the default). ALLOC_CEILINGS pins the
 # exact allocs/op of benchmarks that must allocate: the re-armed bidder
 # encode allocates its submission, its channel table, one digest block and
-# one ciphertext block. Those run 100 ops. Everything runs at -cpu=1: with
-# a second P, the runtime's post-GC cleanup goroutine (the testing package
+# one ciphertext block. The N=300, 4-column rank-memo build allocates 10
+# per build (the auctioneer, the memo tables, the Rankings copies), 14 per
+# column (class table, representative dictionary, class sort and
+# counting-sort buffers) and one key string per bid class (1016 classes in
+# this fixture) — nothing per bidder. Those run 100 ops. Everything runs
+# at -cpu=1: with a second P, the runtime's post-GC cleanup goroutine (the testing package
 # forces a GC before each benchmark) can allocate concurrently with the
 # timed op and be billed to it.
-ALLOC_CEILINGS = EncodeRearmed=4
+ALLOC_CEILINGS = EncodeRearmed=4 RankMemoN300/interned=1082
 alloc_gate = awk -v ceilings='$(ALLOC_CEILINGS)' ' \
 	BEGIN { n = split(ceilings, cs, " "); for (i = 1; i <= n; i++) { split(cs[i], kv, "="); max["Benchmark" kv[1]] = kv[2] } } \
 	/^Benchmark/ { name = $$1; sub(/-[0-9]+$$/, "", name); a = $$(NF-1); lim = (name in max) ? max[name] : 0; \
@@ -86,6 +90,7 @@ alloc-guard:
 	$(GO) test -run=NONE -cpu=1 -benchtime=1x -benchmem \
 		-bench='ZeroAllocMask|InternedIntersect|IndexCursorRow' . | $(alloc_gate)
 	$(GO) test -run=NONE -cpu=1 -benchtime=100x -benchmem -bench='EncodeRearmed' . | $(alloc_gate)
+	$(GO) test -run=NONE -cpu=1 -benchtime=100x -benchmem -bench='RankMemoN300/interned' . | $(alloc_gate)
 
 # Workload snapshot of the composed system: N=10000 mixed-density runs of
 # the tile-sharded one-shot round and the epochal service (open-loop
@@ -129,12 +134,15 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzOpenValueRejectsGarbage -fuzztime=10s ./internal/mask/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzShardBoundaryEquivalence -fuzztime=10s ./internal/round/
+	$(GO) test -run=NONE -fuzz=FuzzColumnRank -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzLoadReportDecode -fuzztime=10s ./internal/load/
 
-# Quicker smoke of the attacker-facing decoders only (the wire frame parser
-# fed by untrusted peers) — the CI test job runs this on every push.
+# Quicker smoke of the attacker-facing decoders (the wire frame parser fed
+# by untrusted peers) and of the rank-memo column build against its
+# CompareGE reference — the CI test job runs this on every push.
 fuzz-short:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzColumnRank -fuzztime=5s ./internal/core/
 
 # Chaos matrix under the race detector: full networked rounds with seeded
 # fault injection (drop/dup/corrupt/truncate/slow-loris/crash). Failing

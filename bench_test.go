@@ -1267,8 +1267,9 @@ func rankMemoRoundN300(b *testing.B) (core.Params, []*core.LocationSubmission, [
 // N=300: every column sorted by descending masked bid, with the O(n log n)
 // masked comparisons answered by map-set walks (the reference stable sort
 // under core.CompareGE on the submitted ChannelBids) versus a fresh
-// auctioneer's interned merges into the dense-rank memo (Rankings touches
-// all k columns).
+// auctioneer's column build — interned bid-class representatives sorted
+// once, bidders placed by counting sort (Rankings touches all k columns).
+// make alloc-guard pins the interned build's allocs/op.
 func BenchmarkRankMemoN300(b *testing.B) {
 	p, locs, subs := rankMemoRoundN300(b)
 	b.Run("map-sets", func(b *testing.B) {

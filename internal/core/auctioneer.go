@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"sync"
 
 	"lppa/internal/auction"
 	"lppa/internal/conflict"
@@ -16,8 +16,9 @@ import (
 // the transcript methods are what the attack experiments consume).
 //
 // An Auctioneer is not safe for concurrent use: the conflict graph and the
-// per-column comparison memo are built lazily on first use. Submissions
-// are immutable once handed to NewAuctioneer, so neither cache is ever
+// per-column comparison memos are built lazily on first use — the memos of
+// all columns together, across the SetWorkers goroutines. Submissions are
+// immutable once handed to NewAuctioneer, so neither cache is ever
 // invalidated.
 type Auctioneer struct {
 	params  Params
@@ -32,19 +33,18 @@ type Auctioneer struct {
 	iloc     []internedLocation
 	locIndex *mask.Index
 
-	// plan, when non-nil, switches execution to tile-sharded form
-	// (shard.go): per-tile conflict graphs and rank-memo sorts, merged
-	// bit-identically. shardIx keeps the per-tile candidate-index stats of
-	// the last sharded build.
+	// plan, when non-nil, switches the conflict graph to tile-sharded
+	// form (shard.go): per-tile graphs, merged bit-identically. shardIx
+	// keeps the per-tile candidate-index stats of the last sharded build.
 	plan    *ShardPlan
 	shardIx []mask.IndexStats
 
-	// Per-column comparison memo, built lazily by columnRank: rankOrder[r]
-	// is all bidders sorted by descending masked bid (ties in index
-	// order), rank[r][i] the dense rank of bidder i (equal masked bids
-	// share a rank). One O(n log n) pass of masked set intersections per
-	// column replaces the O(n) re-intersections of every later scan. The
-	// sort itself runs on interned sets (intern.go).
+	// Per-column comparison memos, built for every column on the first
+	// columnRank (rank.go): rankOrder[r] is all bidders sorted by
+	// descending masked bid (ties in index order), rank[r][i] the dense
+	// rank of bidder i (equal masked bids share a rank). One sort of the
+	// column's interned bid classes replaces the O(n) re-intersections of
+	// every later scan.
 	rank      [][]int
 	rankOrder [][]int
 	// colCalls[r] is the masked-intersection count spent building column
@@ -117,10 +117,34 @@ func (a *Auctioneer) Reset(locs []*LocationSubmission, bids []*BidSubmission) er
 	return nil
 }
 
-// SetWorkers bounds the goroutines used for conflict-graph construction.
-// w ≤ 1 keeps the build serial. The graph is bit-for-bit identical for
+// SetWorkers bounds the goroutines used for conflict-graph construction
+// and for building the per-column rank memos (striped by column). w ≤ 1
+// keeps both builds serial. Graph and memos are bit-for-bit identical for
 // every worker count, so this knob never changes auction results.
 func (a *Auctioneer) SetWorkers(w int) { a.workers = w }
+
+// stripe runs fn(x) for every x in [0, items), striped across the
+// SetWorkers goroutines (serially when workers ≤ 1).
+func (a *Auctioneer) stripe(items int, fn func(x int)) {
+	if a.workers <= 1 {
+		for x := 0; x < items; x++ {
+			fn(x)
+		}
+		return
+	}
+	workers := mask.Workers(a.workers, items)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for x := w; x < items; x += workers {
+				fn(x)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 // ConflictGraph lazily builds and returns the masked-submission conflict
 // graph through the shared builder (graphbuild.go).
@@ -131,75 +155,16 @@ func (a *Auctioneer) ConflictGraph() *conflict.Graph {
 	return a.graph
 }
 
-// columnGE interns column r and returns its masked comparator plus the
-// interned column itself, for callers that can exploit digest-set equality
-// directly, like the sharded sort's bid classes. On observed auctioneers
-// the comparator tallies its masked intersections into st. It agrees with
-// CompareGE on every pair: outcomes depend only on digest equality, which
-// interning preserves exactly.
-func (a *Auctioneer) columnGE(r int, st *mask.IntersectStats) (func(r, i, j int) bool, []internedChannelBid) {
-	col, total, distinct := internColumn(a.bids, r)
-	if a.ob != nil {
-		a.ob.noteIntern(total, distinct)
-		return func(r, i, j int) bool { return col[i].geCounted(&col[j], st) }, col
-	}
-	return func(r, i, j int) bool { return col[i].ge(&col[j]) }, col
-}
-
-// columnRank builds (once) and returns the dense rank memo of column r.
-// Masked comparison is order-preserving — CompareGE(i, j) ⟺ the hidden
-// blinded value of i is ≥ j's — so each column admits a total preorder and
-// a single stable sort captures every pairwise outcome; under a shard plan
-// the sort runs per tile and merges (shard.go), leaving the bit-identical
-// memo. Submissions are immutable after NewAuctioneer, hence the memo
-// never needs invalidation.
+// columnRank returns the dense rank memo of column r. The first call
+// builds the memos of all columns at once, across the SetWorkers
+// goroutines (rank.go); submissions are immutable after NewAuctioneer,
+// hence the memos never need invalidation.
 func (a *Auctioneer) columnRank(r int) []int {
 	if r < 0 || r >= a.params.Channels {
 		panic(fmt.Sprintf("core: channel %d out of range [0,%d)", r, a.params.Channels))
 	}
 	if a.rank == nil {
-		a.rank = make([][]int, a.params.Channels)
-		a.rankOrder = make([][]int, a.params.Channels)
-	}
-	if a.rank[r] == nil {
-		n := a.N()
-		var st mask.IntersectStats
-		ge, col := a.columnGE(r, &st)
-		var order []int
-		if a.plan != nil {
-			order = a.shardedOrder(r, col, ge)
-		} else {
-			order = make([]int, n)
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(x, y int) bool {
-				i, j := order[x], order[y]
-				// Strictly greater: GE(i,j) && !GE(j,i). Ties keep index order.
-				return ge(r, i, j) && !ge(r, j, i)
-			})
-		}
-		rank := make([]int, n)
-		rk := 0
-		for x, i := range order {
-			if x > 0 {
-				prev := order[x-1]
-				if !(ge(r, i, prev) && ge(r, prev, i)) {
-					rk = x // strictly below prev: new rank group
-				}
-			}
-			rank[i] = rk
-		}
-		a.rank[r] = rank
-		a.rankOrder[r] = order
-		if a.ob != nil {
-			if a.colCalls == nil {
-				a.colCalls = make([]uint64, a.params.Channels)
-			}
-			a.colCalls[r] = st.Calls
-			a.ob.rankBuilds.Inc()
-			a.ob.flushStats(&st)
-		}
+		a.buildRanks()
 	}
 	return a.rank[r]
 }
@@ -317,10 +282,12 @@ func (a *Auctioneer) DigestCounts() []int {
 }
 
 // ComparisonsPerChannel returns how many masked set intersections the
-// rank-memo build spent per channel — the auctioneer's per-column work,
-// and an upper bound on the ordering information each column leaked.
-// Populated only on observed auctioneers (SetObserver) and only for
-// columns actually built; unobserved runs return nil.
+// rank-memo build spent per channel: the O(C log C) sort and rank fold
+// over the column's C bid-class representatives (members of a class are
+// never compared). It is the auctioneer's per-column work, and bounds the
+// ordering information the comparisons revealed beyond digest equality.
+// Populated only on observed auctioneers (SetObserver), once the memos
+// are built; unobserved runs return nil.
 func (a *Auctioneer) ComparisonsPerChannel() []uint64 {
 	if a.colCalls == nil {
 		return nil

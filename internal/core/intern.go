@@ -74,32 +74,10 @@ func (a *internedLocation) conflictsCounted(b *internedLocation, st *mask.Inters
 
 // internedChannelBid is the compact form of one ChannelBid. One Dict
 // serves one bid column: digests under different per-channel keys never
-// need to be compared, so per-column dictionaries keep IDs dense.
+// need to be compared, so per-column dictionaries keep IDs dense. Only a
+// column's bid-class representatives are interned (rank.go).
 type internedChannelBid struct {
 	family, rng mask.IntSet
-}
-
-// internColumn interns column r of a bid matrix under a fresh dictionary.
-// Like internLocations it reports digest throughput and distinct count
-// for the observability layer.
-func internColumn(bids []*BidSubmission, r int) (out []internedChannelBid, total, distinct int) {
-	var dict *mask.Dict
-	if len(bids) > 0 {
-		cb := &bids[0].Channels[r]
-		dict = mask.NewDictCap(len(bids) * (cb.Family.Len() + cb.Range.Len()))
-	} else {
-		dict = mask.NewDict()
-	}
-	out = make([]internedChannelBid, len(bids))
-	for i, b := range bids {
-		cb := &b.Channels[r]
-		total += cb.Family.Len() + cb.Range.Len()
-		out[i] = internedChannelBid{
-			family: dict.InternSet(cb.Family),
-			rng:    dict.InternSet(cb.Range),
-		}
-	}
-	return out, total, dict.Len()
 }
 
 // ge is CompareGE on the interned representation.

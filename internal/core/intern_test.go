@@ -66,10 +66,9 @@ func TestAuctioneerRepresentationEquivalence(t *testing.T) {
 }
 
 // TestGEMemoMatchesRawUnderInterning extends the memo-correctness anchor
-// to both interned memo builds — the unsharded interned sort and the
-// sharded bid-class sort with per-tile merges: every memoized GE answer
-// must equal the direct masked intersection rawGE evaluates on the
-// submitted ChannelBids.
+// to the interned column build on both round shapes, unsharded and under a
+// shard plan: every memoized GE answer must equal the direct masked
+// intersection rawGE evaluates on the submitted ChannelBids.
 func TestGEMemoMatchesRawUnderInterning(t *testing.T) {
 	p := testParams()
 	auc, pts, bids := randomRound(t, p, 20, 47)

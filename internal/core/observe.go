@@ -8,9 +8,9 @@ import (
 )
 
 // Observability wiring for the auctioneer (DESIGN.md §5c). The unobserved
-// hot paths — the shared conflict-graph builder (graphbuild.go),
-// columnRank's interned sort, the rank-cursor allocation — run without
-// counters: attaching a registry swaps in counted twins of the same
+// hot paths — the shared conflict-graph builder (graphbuild.go), the
+// column build's class sort (rank.go), the rank-cursor allocation — run
+// without counters: attaching a registry swaps in counted twins of the same
 // operations, and every predicate outcome is unchanged because the counted
 // mask operations delegate to the uncounted ones.
 
@@ -21,7 +21,7 @@ type aucObs struct {
 	bloomRejects  *obs.Counter // of those, decided by the Bloom pre-check
 	rankMemoHits  *obs.Counter // memo entries the rank-cursor allocator examined
 	rankBuilds    *obs.Counter // column memos built
-	internDigests *obs.Counter // digests pushed through intern dictionaries
+	internDigests *obs.Counter // digests pushed through intern dictionaries (bid columns: class representatives only)
 	internHits    *obs.Counter // of those, already present (dedup wins)
 	internMisses  *obs.Counter // of those, first sightings (distinct digests)
 
@@ -35,16 +35,14 @@ type aucObs struct {
 	// registry handle is kept so the counters can be minted lazily when a
 	// shard plan arrives — the plan's tile count is unknown at SetObserver
 	// time.
-	reg             *obs.Registry
-	shardRankBuilds []*obs.Counter // per-tile column sorts contributing to memos
-	shardMemoHits   []*obs.Counter // memo entries served to the allocator, by home tile
+	reg           *obs.Registry
+	shardMemoHits []*obs.Counter // memo entries served to the allocator, by home tile
 }
 
 // ensureShardCounters mints the per-shard counter handles for k tiles.
 func (o *aucObs) ensureShardCounters(k int) {
-	for s := len(o.shardRankBuilds); s < k; s++ {
+	for s := len(o.shardMemoHits); s < k; s++ {
 		lbl := obs.L("shard", strconv.Itoa(s))
-		o.shardRankBuilds = append(o.shardRankBuilds, o.reg.Counter("lppa_shard_rank_builds_total", lbl))
 		o.shardMemoHits = append(o.shardMemoHits, o.reg.Counter("lppa_shard_rank_memo_hits_total", lbl))
 	}
 }

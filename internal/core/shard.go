@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"lppa/internal/conflict"
@@ -15,13 +13,12 @@ import (
 // into tiles whose side is a multiple of 2λ (geo.TileGrid), every conflict
 // pair is co-located in at least one tile — as a resident plus a resident
 // or border-band visitor — and the union of per-tile conflict graphs is
-// exactly the global graph. The same locality shards the rank-memo sort:
-// per-tile stable sorts merged under the column's total order reproduce
-// the global stable sort bit for bit. Allocation itself stays one global
-// sweep (its rng consumption is inherently sequential) but switches to the
-// rank-cursor allocator (auction.AllocateAwardsOrdered), which the memos
-// feed directly. Everything here is bit-identical to the unsharded round;
-// only the work to compute it changes: O(n²) → O(Σᵢ nᵢ² + border).
+// exactly the global graph. The rank memos need no sharding: their column
+// build (rank.go) emits the global stable sort in one O(n + C) counting
+// pass. Allocation stays one global sweep (its rng consumption is
+// inherently sequential) of the rank-cursor allocator.
+// Everything here is bit-identical to the unsharded round; only the
+// graph's work changes: O(n²) → O(Σᵢ nᵢ² + border).
 
 // ShardTile lists one tile's bidders. Residents live in the tile (each
 // bidder is a resident of exactly one tile); Visitors live elsewhere but
@@ -45,9 +42,9 @@ type ShardPlan struct {
 }
 
 // SetShardPlan switches the auctioneer onto tile-sharded execution: the
-// conflict graph is built per tile and merged, rank memos are built by
-// per-tile sort plus ordered merge, and allocation runs the rank-cursor
-// engine. Results are bit-identical to the unsharded auctioneer. Call
+// conflict graph is built per tile and merged, and the allocator's memo
+// hits are attributed to each bidder's home tile. Results are
+// bit-identical to the unsharded auctioneer. Call
 // before the first ConflictGraph/GE/Allocate use (like the other knobs,
 // the lazily built caches cannot be re-sharded); nil reverts to unsharded.
 func (a *Auctioneer) SetShardPlan(p *ShardPlan) error {
@@ -124,37 +121,6 @@ func (a *Auctioneer) ShardIndexStats() []mask.IndexStats {
 	return append([]mask.IndexStats(nil), a.shardIx...)
 }
 
-// shardWorkers normalizes the goroutine count for a sweep over the tiles.
-func (a *Auctioneer) shardWorkers() int {
-	if a.workers > 1 {
-		return mask.Workers(a.workers, len(a.plan.Tiles))
-	}
-	return 1
-}
-
-// forEachTile runs fn(t) for every tile, striped across the worker count.
-func (a *Auctioneer) forEachTile(fn func(t int)) {
-	tiles := len(a.plan.Tiles)
-	workers := a.shardWorkers()
-	if workers <= 1 {
-		for t := 0; t < tiles; t++ {
-			fn(t)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := w; t < tiles; t += workers {
-				fn(t)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // mergeAscending merges two ascending disjoint index slices.
 func mergeAscending(a, b []int) []int {
 	if len(b) == 0 {
@@ -209,7 +175,7 @@ func (a *Auctioneer) buildGraphSharded() *conflict.Graph {
 	ixStats := make([]mask.IndexStats, len(tiles))
 	var scanned, emitted atomic.Uint64
 
-	a.forEachTile(func(t int) {
+	a.stripe(len(tiles), func(t int) {
 		tile := &tiles[t]
 		var done func(int)
 		if plan.OnShard != nil {
@@ -317,148 +283,4 @@ func locationKeys(iloc []internedLocation) []string {
 		keys[i] = string(buf)
 	}
 	return keys
-}
-
-// shardedOrder builds column r's rank order by stable-sorting each tile's
-// residents independently (in parallel when workers allow) and merging the
-// runs under the column's total order. Identity argument: the global
-// stable sort emits bidders sorted by (bid descending, index ascending);
-// each tile's residents are an index-ascending subsequence, so their
-// stable sort is sorted under the same key; merging with the tie rule
-// "equal bids → smaller index first" is therefore exactly the global
-// order.
-//
-// The masked comparisons (ge, over the interned column col) collapse to
-// integers first: bidders with identical digest sets (same interned IDs)
-// are one bid class, the class representatives are sorted once under the
-// masked order with ge-equal classes folded into one value rank, and the
-// per-tile sorts and merges then compare precomputed ranks. The rank
-// respects exactly the column's total preorder, so the result is the same
-// stable sort; only the number of masked intersections changes (O(C log C)
-// for C classes instead of O(n log n) — disguise-heavy columns degrade
-// gracefully to C ≈ n).
-func (a *Auctioneer) shardedOrder(r int, col []internedChannelBid, ge func(r, i, j int) bool) []int {
-	tiles := a.plan.Tiles
-	runs := make([][]int, len(tiles))
-
-	valueRank := bidValueRanks(r, col, ge)
-	precede := func(i, j int) bool {
-		if valueRank[i] != valueRank[j] {
-			return valueRank[i] < valueRank[j]
-		}
-		return i < j // tie: ascending index, the stable-sort rule
-	}
-
-	a.forEachTile(func(t int) {
-		order := append([]int(nil), tiles[t].Residents...)
-		sort.SliceStable(order, func(x, y int) bool {
-			return precede(order[x], order[y])
-		})
-		runs[t] = order
-	})
-	if a.ob != nil {
-		for t := range tiles {
-			a.ob.shardRankBuilds[t].Inc()
-		}
-	}
-
-	for len(runs) > 1 {
-		next := make([][]int, 0, (len(runs)+1)/2)
-		for x := 0; x+1 < len(runs); x += 2 {
-			next = append(next, mergeRuns(runs[x], runs[x+1], precede))
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
-	}
-	if len(runs) == 0 {
-		return []int{}
-	}
-	return runs[0]
-}
-
-// bidValueRanks maps every bidder to a dense value rank (0 = highest bid)
-// consistent with column r's masked total preorder. Bidders sharing one
-// family digest set form a class: the full-width prefix makes the family
-// injective in the blinded value, so class members carry the same value
-// and the same non-padding range cover — identical ge outcomes on both
-// sides under the no-digest-collision assumption CompareGE itself rests
-// on (cover padding is random 16-byte noise that never equals a real
-// family digest). Class representatives are stable-sorted under ge and
-// adjacent ge-equal classes (distinct blinding slots, equal displayed
-// value) fold into one rank, so valueRank[i] < valueRank[j] ⟺ i is
-// strictly above j and equality means a masked tie. Masked-intersection
-// cost is O(C log C) for C classes — C is the count of distinct blinded
-// values, far below n for narrow bid ledgers, and degrades gracefully to
-// n when every blinded value is unique.
-func bidValueRanks(r int, col []internedChannelBid, ge func(r, i, j int) bool) []int32 {
-	classOf := make([]int32, len(col))
-	byKey := make(map[string]int32, len(col))
-	var reps []int
-	var ids []uint32
-	var buf []byte
-	for i := range col {
-		ids = col[i].family.AppendIDs(ids[:0])
-		buf = buf[:0]
-		for _, id := range ids {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		c, ok := byKey[string(buf)]
-		if !ok {
-			c = int32(len(reps))
-			byKey[string(buf)] = c
-			reps = append(reps, i)
-		}
-		classOf[i] = c
-	}
-
-	repOrder := make([]int, len(reps))
-	for x := range repOrder {
-		repOrder[x] = x
-	}
-	sort.SliceStable(repOrder, func(x, y int) bool {
-		i, j := reps[repOrder[x]], reps[repOrder[y]]
-		return ge(r, i, j) && !ge(r, j, i)
-	})
-	rankOf := make([]int32, len(reps))
-	rk := int32(0)
-	for x, c := range repOrder {
-		if x > 0 {
-			i, prev := reps[c], reps[repOrder[x-1]]
-			if !(ge(r, i, prev) && ge(r, prev, i)) {
-				rk++ // strictly below the previous class: new value rank
-			}
-		}
-		rankOf[c] = rk
-	}
-
-	out := make([]int32, len(col))
-	for i, c := range classOf {
-		out[i] = rankOf[c]
-	}
-	return out
-}
-
-// mergeRuns merges two runs already sorted under precede.
-func mergeRuns(a, b []int, precede func(i, j int) bool) []int {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if precede(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

@@ -123,9 +123,16 @@ type IntSet struct {
 // InternSet interns every member of s and returns its IntSet. Members of
 // the same Dict's IntSets are mutually comparable; never mix Dicts.
 func (d *Dict) InternSet(s Set) IntSet {
-	out := IntSet{ids: make([]uint32, 0, len(s.ds))}
-	for _, dg := range s.ds {
-		out.ids = append(out.ids, d.Intern(dg))
+	return d.InternSetInto(make([]uint32, len(s.ds)), s)
+}
+
+// InternSetInto is InternSet writing the IDs into buf, which must have
+// room for s.Len() of them, so a caller interning many sets can carve
+// them from one flat block. The IntSet aliases buf.
+func (d *Dict) InternSetInto(buf []uint32, s Set) IntSet {
+	out := IntSet{ids: buf[:len(s.ds)]}
+	for x, dg := range s.ds {
+		out.ids[x] = d.Intern(dg)
 	}
 	sortIDs(out.ids)
 	for _, id := range out.ids {

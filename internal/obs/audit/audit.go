@@ -63,9 +63,12 @@ type Report struct {
 	// DigestsTotal sums Digests over all audited bidders.
 	DigestsTotal int `json:"digests_total"`
 	// ComparisonsPerChannel is the masked-intersection count the rank
-	// build spent per channel column — an upper bound on the ordering
-	// information each column leaked. Present only when the round ran
-	// with an observer (round.WithObserver); nil otherwise.
+	// build spent per channel column: the sort and rank fold over the
+	// column's C bid-class representatives, since bidders with
+	// byte-identical families share a class and are never compared. It
+	// bounds the ordering information the comparisons revealed beyond
+	// digest equality. Present only when the round ran with an observer
+	// (round.WithObserver); nil otherwise.
 	ComparisonsPerChannel []uint64 `json:"comparisons_per_channel,omitempty"`
 	// DegreeHist[d] counts bidders with conflict degree d.
 	DegreeHist []int `json:"degree_hist"`

@@ -14,9 +14,10 @@ import (
 // (DESIGN.md §5g): bidders are grouped into geographic tiles by a masked
 // coarse-tile digest (keyed off the ring like every other submission
 // digest, so the auctioneer learns nothing finer than the tile), per-tile
-// conflict graphs and rank memos are built independently — in parallel
-// under WithWorkers — and merged bit-identically, and allocation runs the
-// rank-cursor engine over the merged memos. k sizes the tile grid at about
+// conflict graphs are built independently — in parallel under
+// WithWorkers — and merged bit-identically, and allocation runs the
+// rank-cursor engine over the same per-column rank memos every round
+// builds. k sizes the tile grid at about
 // k tiles (⌈√k⌉ per axis); the planner only materializes tiles somebody
 // lives in, so the effective shard count is min(k, occupied tiles).
 //

@@ -325,8 +325,8 @@ func WithQuorum(q int) RunOption { return round.WithQuorum(q) }
 func WithStragglerTimeout(d time.Duration) RunOption { return round.WithStragglerTimeout(d) }
 
 // WithShards partitions the round into k coarse tiles routed by masked
-// digests: per-tile conflict graphs and rank memos are built independently
-// and reconciled across border bands. Results are bit-identical to the
+// digests: per-tile conflict graphs are built independently and
+// reconciled across border bands. Results are bit-identical to the
 // unsharded round for any k; only the cost profile changes. See DESIGN.md
 // §5g.
 func WithShards(k int) RunOption { return round.WithShards(k) }
