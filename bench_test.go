@@ -1665,7 +1665,8 @@ func BenchmarkEpochService(b *testing.B) {
 // per-submission baseline (threshold 1 — every delta is its own round
 // trip) while persisting identical exact totals.
 // TestBatchedAccountingWriteReduction asserts the same bound; this
-// benchmark publishes the measured traffic into BENCH_PR8.json.
+// benchmark reports the measured traffic (the BENCH_PR8.json snapshot
+// that recorded it lives in git history at 4bd4e05).
 func BenchmarkBatchedAccounting(b *testing.B) {
 	const nOps = 10_000
 	const keys = 500 // distinct bidders the deltas spread across

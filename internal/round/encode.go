@@ -75,17 +75,14 @@ func (e *encoder) bidVector(i int, rng *rand.Rand) (*core.BidSubmission, error) 
 	return sub, nil
 }
 
-// bidder builds both of bidder i's submissions and their wire size.
-func (e *encoder) bidder(i int, rng *rand.Rand) (*core.LocationSubmission, *core.BidSubmission, int, error) {
+// bidder builds both of bidder i's submissions.
+func (e *encoder) bidder(i int, rng *rand.Rand) (*core.LocationSubmission, *core.BidSubmission, error) {
 	loc, err := e.location(i)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	sub, err := e.bidVector(i, rng)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return loc, sub, core.SubmissionBytes(sub) + core.LocationBytes(loc), nil
+	return loc, sub, err
 }
 
 // seeded returns the goroutine's rng re-seeded to seed: one bidder's
@@ -134,7 +131,7 @@ func drawSeeds(rng *rand.Rand, n int) []int64 {
 // worker count. Shared samplers (bidders with equal policies) are safe:
 // DisguiseSampler.Sample only reads the precomputed CDF.
 func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
-	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int, error) {
+	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int) ([]*core.LocationSubmission, []*core.BidSubmission, error) {
 	n := len(points)
 	seeds := drawSeeds(rng, n)
 
@@ -142,7 +139,7 @@ func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Poin
 	// output-identical to per-bidder calls.
 	locs, err := core.NewLocationSubmissions(params, ring, points, workers)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 
 	subs := make([]*core.BidSubmission, n)
@@ -158,14 +155,12 @@ func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Poin
 	} else {
 		e.stripe(workers, encodeOne).Wait()
 	}
-	bytesTotal := 0
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		bytesTotal += core.SubmissionBytes(subs[i]) + core.LocationBytes(locs[i])
 	}
-	return locs, subs, bytesTotal, nil
+	return locs, subs, nil
 }
 
 // encodeTolerant is the quorum-mode encoder: per-bidder failures are
@@ -177,11 +172,10 @@ func encodeSubmissions(params core.Params, ring *mask.KeyRing, points []geo.Poin
 // builder (location masking draws no randomness).
 func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	samplers []*core.DisguiseSampler, rng *rand.Rand, workers int, deadline time.Duration,
-) ([]*core.LocationSubmission, []*core.BidSubmission, []int, []error) {
+) ([]*core.LocationSubmission, []*core.BidSubmission, []error) {
 	n := len(points)
 	locs := make([]*core.LocationSubmission, n)
 	subs := make([]*core.BidSubmission, n)
-	bytesPer := make([]int, n)
 	errs := make([]error, n)
 	e := newEncoder(params, ring, points, bids, samplers)
 
@@ -196,9 +190,9 @@ func encodeTolerant(params core.Params, ring *mask.KeyRing, points []geo.Point, 
 		arrivals = make(chan struct{}, n)
 	)
 	e.stripe(workers, func(e *encoder, i int) {
-		loc, sub, b, err := e.bidder(i, e.seeded(seeds[i]))
+		loc, sub, err := e.bidder(i, e.seeded(seeds[i]))
 		mu.Lock()
-		locs[i], subs[i], bytesPer[i], errs[i] = loc, sub, b, err
+		locs[i], subs[i], errs[i] = loc, sub, err
 		done[i] = true
 		mu.Unlock()
 		arrivals <- struct{}{}
@@ -223,14 +217,13 @@ collect:
 	defer mu.Unlock()
 	clocs := make([]*core.LocationSubmission, n)
 	csubs := make([]*core.BidSubmission, n)
-	cbytes := make([]int, n)
 	cerrs := make([]error, n)
 	for i := 0; i < n; i++ {
 		if !done[i] {
 			cerrs[i] = fmt.Errorf("round: bidder %d missed straggler deadline %v", i, deadline)
 			continue
 		}
-		clocs[i], csubs[i], cbytes[i], cerrs[i] = locs[i], subs[i], bytesPer[i], errs[i]
+		clocs[i], csubs[i], cerrs[i] = locs[i], subs[i], errs[i]
 	}
-	return clocs, csubs, cbytes, cerrs
+	return clocs, csubs, cerrs
 }

@@ -102,13 +102,21 @@ func TestEncodeSubmissionsWorkerInvariance(t *testing.T) {
 		samplers[i] = sampler
 	}
 	encode := func(workers int) ([]*core.LocationSubmission, []*core.BidSubmission, int) {
-		locs, subs, bytes, err := encodeSubmissions(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
+		locs, subs, err := encodeSubmissions(p, ring, points, bids, samplers, rand.New(rand.NewSource(99)), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bytes, _ := transcriptSize(locs, subs)
 		return locs, subs, bytes
 	}
 	wantLocs, wantSubs, wantBytes := encode(1)
+	perBidder := 0
+	for i := range wantLocs {
+		perBidder += core.LocationBytes(wantLocs[i]) + core.SubmissionBytes(wantSubs[i])
+	}
+	if perBidder != wantBytes {
+		t.Errorf("transcript size %d B, per-bidder wire sizes sum to %d B", wantBytes, perBidder)
+	}
 	for _, workers := range []int{2, 5, 16} {
 		locs, subs, bytes := encode(workers)
 		if bytes != wantBytes {

@@ -3,10 +3,13 @@
 // runs the plaintext baseline for comparison. The experiment drivers and
 // examples build on this package.
 //
-// Run is the single entry point; functional options select the goroutine
-// count (WithWorkers), disguise shape (WithPolicies), charging design
-// (WithInteractiveCharging, WithSecondPrice), and observability
-// (WithObserver).
+// Run is the in-process entry point: bidder-side encoding followed by the
+// auctioneer stage. Clear is that stage on its own — masked submissions
+// in, awards and charges out — and is what the networked auctioneer
+// (internal/transport) calls on the submissions it received. Functional
+// options select the goroutine count (WithWorkers), disguise shape
+// (WithPolicies), charging design (WithInteractiveCharging,
+// WithSecondPrice), and observability (WithObserver).
 package round
 
 import (
@@ -30,6 +33,11 @@ type Result struct {
 	// Violations counts protocol violations the TTP detected (should be
 	// zero with honest bidders).
 	Violations int
+	// Valid marks, per Outcome assignment, the awards the TTP upheld: a
+	// charged winner is valid even when its charge is zero (a second-price
+	// winner with no positive runner-up); a voided award or a protocol
+	// violation is not.
+	Valid []bool
 	// Auctioneer exposes the transcript (rankings, conflict graph) for
 	// attack evaluation.
 	Auctioneer *core.Auctioneer

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
-	"lppa/internal/auction"
 	"lppa/internal/core"
 	"lppa/internal/geo"
 	"lppa/internal/mask"
@@ -16,9 +14,12 @@ import (
 )
 
 // ErrQuorumNotReached reports that a quorum round had fewer usable
-// submissions than WithQuorum demanded. The networked auctioneer
-// (internal/transport) wraps the same sentinel when stragglers leave it
-// short, so callers on either path detect the condition with errors.Is.
+// submissions than WithQuorum demanded. It is raised before the
+// auctioneer stage runs: by Run's bidder half when encoding leaves too
+// few submissions, and — wrapped — by the networked auctioneer
+// (internal/transport) when stragglers leave its collection short, so
+// callers on either path detect the condition with errors.Is. Clear
+// never returns it; it clears whatever it is handed.
 var ErrQuorumNotReached = errors.New("round: quorum not reached")
 
 // Input bundles one round's bidder-side inputs: where the bidders are,
@@ -220,140 +221,24 @@ func WithPhaseObserver(fn func(phase string, d time.Duration)) Option {
 	}
 }
 
-// phaser pairs the metrics PhaseTimer with tracing spans so both views of
-// the round agree on phase boundaries. With a nil tracer every span field
-// stays nil and the span calls are no-ops, so an untraced round runs the
-// pre-tracing code path bit-identically.
-type phaser struct {
-	timer    *obs.PhaseTimer
-	tracer   *obs.Tracer
-	root     *obs.Span
-	cur      *obs.Span
-	onPhase  func(phase string, d time.Duration)
-	curName  string
-	curStart time.Time
-	epoch    int
-	hasEpoch bool
-}
-
-// phase closes the current phase (timer and span) and opens the named one
-// as a child of the round root.
-func (p *phaser) phase(name string) {
-	p.timer.Phase(name)
-	if p.onPhase != nil {
-		now := time.Now()
-		if p.curName != "" {
-			p.onPhase(p.curName, now.Sub(p.curStart))
-		}
-		p.curName, p.curStart = name, now
-	}
-	p.cur.End()
-	p.cur = nil
-	if p.tracer != nil {
-		p.cur = p.tracer.StartSpan(name, p.root.Context())
-	}
-}
-
-// stop closes the current phase without opening another (round over or
-// aborting).
-func (p *phaser) stop() {
-	p.timer.Stop()
-	if p.onPhase != nil && p.curName != "" {
-		p.onPhase(p.curName, time.Since(p.curStart))
-		p.curName = ""
-	}
-	p.cur.End()
-	p.cur = nil
-}
-
-// finish closes the round root span — recording the failure and any
-// quorum exclusions — and hands the trace to the flight recorder.
-func (p *phaser) finish(res *Result, err error, flight *obs.FlightRecorder) {
-	p.cur.End()
-	p.cur = nil
-	if p.root == nil {
-		return
-	}
-	if err != nil {
-		p.root.SetError(err.Error())
-	}
-	degraded := res != nil && len(res.Excluded) > 0
-	if degraded {
-		for _, id := range res.Excluded {
-			p.root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
+// configure applies opts and checks that they compose.
+func configure(opts []Option) (runConfig, error) {
+	cfg := runConfig{workers: 1}
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, err
 		}
 	}
-	p.root.End()
-	if flight == nil {
-		return
+	if cfg.interactive && cfg.secondPrice {
+		return cfg, fmt.Errorf("round: interactive charging and second-price charging are mutually exclusive")
 	}
-	rt := &obs.RoundTrace{
-		Label:    "round",
-		Degraded: degraded,
-		Epoch:    p.epoch,
-		HasEpoch: p.hasEpoch,
-		Duration: p.root.Duration,
-		Spans:    p.tracer.TakeTrace(p.root.Ctx.Trace),
+	if cfg.sampler != nil && cfg.tracer != nil {
+		return cfg, fmt.Errorf("round: WithTrace and WithTraceSampler are mutually exclusive")
 	}
-	if err != nil {
-		rt.Err = err.Error()
+	if cfg.flight != nil && cfg.tracer == nil && cfg.sampler == nil {
+		return cfg, fmt.Errorf("round: WithFlightRecorder requires WithTrace or WithTraceSampler")
 	}
-	_, _ = flight.Record(rt)
-}
-
-// roundObs caches the round-level metric handles for one Run.
-type roundObs struct {
-	rounds, winners, revenue, voided, violations *obs.Counter
-	bytes, digests                               *obs.Counter
-	workers                                      *obs.Gauge
-}
-
-func newRoundObs(reg *obs.Registry) *roundObs {
-	if reg == nil {
-		return nil
-	}
-	return &roundObs{
-		rounds:     reg.Counter("lppa_rounds_total"),
-		winners:    reg.Counter("lppa_round_winners_total"),
-		revenue:    reg.Counter("lppa_round_revenue_total"),
-		voided:     reg.Counter("lppa_round_voided_total"),
-		violations: reg.Counter("lppa_round_violations_total"),
-		bytes:      reg.Counter("lppa_round_submission_bytes_total"),
-		digests:    reg.Counter("lppa_mask_digests_total"),
-		workers:    reg.Gauge("lppa_round_workers"),
-	}
-}
-
-// note folds one finished round into the registry.
-func (o *roundObs) note(res *Result, workers, bytesTotal, digests int) {
-	if o == nil {
-		return
-	}
-	o.rounds.Inc()
-	o.winners.Add(uint64(res.Outcome.SatisfiedBidders))
-	o.revenue.Add(res.Outcome.Revenue)
-	o.voided.Add(uint64(res.Voided))
-	o.violations.Add(uint64(res.Violations))
-	o.bytes.Add(uint64(bytesTotal))
-	o.digests.Add(uint64(digests))
-	o.workers.Set(int64(workers))
-}
-
-// countDigests tallies how many masked digests one population submitted
-// (location families and covers plus per-channel bid families and covers).
-// Observed rounds only; O(n·k) map-len reads.
-func countDigests(locs []*core.LocationSubmission, subs []*core.BidSubmission) int {
-	total := 0
-	for _, l := range locs {
-		total += l.XFamily.Len() + l.YFamily.Len() + l.XRange.Len() + l.YRange.Len()
-	}
-	for _, s := range subs {
-		for r := range s.Channels {
-			cb := &s.Channels[r]
-			total += cb.Family.Len() + cb.Range.Len()
-		}
-	}
-	return total
+	return cfg, nil
 }
 
 // buildSamplers returns one disguise sampler per bidder. Bidders with the
@@ -379,32 +264,15 @@ func buildSamplers(policies []core.DisguisePolicy, bmax uint64) ([]*core.Disguis
 	return out, nil
 }
 
-// tallyCharges folds the TTP's batch verdicts into the outcome: valid
-// awards are charged and satisfied, invalid ones voided, errors counted as
-// protocol violations.
-func tallyCharges(res *Result, results []ttp.ChargeResult) {
-	out := res.Outcome
-	for i, r := range results {
-		switch {
-		case r.Err != nil:
-			res.Violations++
-		case !r.Valid:
-			res.Voided++
-		default:
-			out.Charges[i] = r.Price
-			out.Revenue += r.Price
-			out.SatisfiedBidders++
-		}
-	}
-}
-
-// Run executes one complete private LPPA round:
+// Run executes one complete private LPPA round in process:
 //
 //  1. The TTP derives its key material from the caller's ring.
 //  2. Every bidder builds a masked location submission and an advanced
-//     masked bid submission under its disguise policy.
-//  3. The auctioneer builds the conflict graph and allocates channels over
-//     masked data (Algorithm 3).
+//     masked bid submission under its disguise policy (a quorum round
+//     drops failed or straggling bidders); WithShards plans tiles from
+//     the kept bidders' points.
+//  3. The auctioneer stage (Clear) builds the conflict graph and
+//     allocates channels over the masked submissions (Algorithm 3).
 //  4. The TTP adjudicates the winners' charges; voided awards are dropped.
 //
 // The auctioneer has one execution path: the conflict graph comes from the
@@ -418,54 +286,18 @@ func tallyCharges(res *Result, results []ttp.ChargeResult) {
 // (mutually exclusive) for the charging design, WithObserver for
 // metrics. A fixed Input.Rng seed fixes the round at every worker count.
 func Run(params core.Params, ring *mask.KeyRing, in Input, opts ...Option) (*Result, error) {
-	cfg := runConfig{workers: 1}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.interactive && cfg.secondPrice {
-		return nil, fmt.Errorf("round: interactive charging and second-price charging are mutually exclusive")
-	}
-	if cfg.sampler != nil && cfg.tracer != nil {
-		return nil, fmt.Errorf("round: WithTrace and WithTraceSampler are mutually exclusive")
-	}
-	if cfg.flight != nil && cfg.tracer == nil && cfg.sampler == nil {
-		return nil, fmt.Errorf("round: WithFlightRecorder requires WithTrace or WithTraceSampler")
-	}
-	var sampleIdx uint64
-	if cfg.sampler != nil {
-		// The sampler consumes one round index whether or not it samples;
-		// an unsampled round proceeds on the untraced (nil-tracer) path.
-		if tr, idx, ok := cfg.sampler.Next(); ok {
-			cfg.tracer, sampleIdx = tr, idx
-		}
-	}
-	ph := &phaser{
-		timer: cfg.reg.PhaseTimer("lppa_round_phase_seconds", nil), tracer: cfg.tracer,
-		onPhase: cfg.onPhase, epoch: cfg.epoch, hasEpoch: cfg.hasEpoch,
-	}
-	if cfg.tracer != nil {
-		ph.root = cfg.tracer.StartTrace("round",
-			obs.L("bidders", strconv.Itoa(len(in.Points))),
-			obs.L("channels", strconv.Itoa(params.Channels)))
-		if cfg.hasEpoch {
-			ph.root.Annotate("epoch", strconv.Itoa(cfg.epoch))
-		}
-		if cfg.sampler != nil {
-			ph.root.Annotate("sample_index", strconv.FormatUint(sampleIdx, 10))
-		}
-	}
+	ph := cfg.phaser(nil, len(in.Points), params.Channels)
 	res, err := run(params, ring, in, &cfg, ph)
-	if res != nil && ph.root != nil {
-		res.Trace = ph.root.Ctx.Trace
-	}
-	ph.finish(res, err, cfg.flight)
+	ph.finish(res, err)
 	return res, err
 }
 
-// run is the Run body: everything between option validation and trace
-// finalization, with phase boundaries reported through ph.
+// run is the Run body: the bidder half, then the auctioneer stage, with
+// phase boundaries reported through ph.
 func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *phaser) (*Result, error) {
 	n := len(in.Points)
 	if n == 0 {
@@ -487,9 +319,7 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 		return nil, fmt.Errorf("round: %d points, %d policies", n, len(policies))
 	}
 
-	ro := newRoundObs(cfg.reg)
 	rng := in.Rng
-
 	trusted, err := ttp.FromRing(params, ring, rand.New(rand.NewSource(rng.Int63())))
 	if err != nil {
 		return nil, err
@@ -501,11 +331,10 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 
 	ph.phase("encode")
 	var (
-		locs       []*core.LocationSubmission
-		subs       []*core.BidSubmission
-		bytesTotal int
-		excluded   []int
-		keep       []int
+		locs     []*core.LocationSubmission
+		subs     []*core.BidSubmission
+		excluded []int
+		keep     []int
 	)
 	workers := mask.Workers(cfg.workers, n)
 	if cfg.quorum > 0 || cfg.straggler > 0 {
@@ -516,166 +345,63 @@ func run(params core.Params, ring *mask.KeyRing, in Input, cfg *runConfig, ph *p
 			effQuorum = n
 		}
 		if effQuorum > n {
-			ph.stop()
 			return nil, fmt.Errorf("round: quorum %d exceeds population %d", effQuorum, n)
 		}
-		var (
-			bytesPer []int
-			errs     []error
-		)
-		locs, subs, bytesPer, errs = encodeTolerant(params, ring, in.Points, in.Bids,
-			samplers, rng, workers, cfg.straggler)
+		var errs []error
+		locs, subs, errs = encodeTolerant(params, ring, in.Points, in.Bids, samplers, rng, workers, cfg.straggler)
 		for i := 0; i < n; i++ {
 			if errs[i] == nil && locs[i] != nil && subs[i] != nil {
 				keep = append(keep, i)
-				bytesTotal += bytesPer[i]
 			} else {
 				excluded = append(excluded, i)
 			}
 		}
 		if len(keep) < effQuorum {
-			ph.stop()
 			return nil, fmt.Errorf("%w: %d of %d usable submissions, need %d",
 				ErrQuorumNotReached, len(keep), n, effQuorum)
 		}
 		if len(excluded) > 0 {
-			clocs := make([]*core.LocationSubmission, len(keep))
-			csubs := make([]*core.BidSubmission, len(keep))
-			for ci, i := range keep {
-				clocs[ci], csubs[ci] = locs[i], subs[i]
-			}
-			locs, subs = clocs, csubs
+			locs, subs = compact(locs, keep), compact(subs, keep)
 		}
-	} else {
-		locs, subs, bytesTotal, err = encodeSubmissions(params, ring, in.Points, in.Bids, samplers, rng, workers)
-	}
-	if err != nil {
-		ph.stop()
+	} else if locs, subs, err = encodeSubmissions(params, ring, in.Points, in.Bids, samplers, rng, workers); err != nil {
 		return nil, err
 	}
 
-	auc, err := cfg.state.auctioneer(params, locs, subs)
-	if err != nil {
-		ph.stop()
-		return nil, err
-	}
-	auc.SetWorkers(workers)
-	auc.SetObserver(cfg.reg)
-
+	var plan *core.ShardPlan
 	if cfg.shards > 0 {
-		// Tile-sharded execution (shard.go): the planner groups the
-		// population — the kept population, under a compacted quorum round —
-		// by masked coarse-tile digest; the auctioneer then builds graphs
-		// and memos per tile. The plan is rng-free and bit-identity is
-		// pinned by the shard equivalence grid.
+		// The planner groups the population — the kept population, under
+		// a compacted quorum round — by masked coarse-tile digest.
 		ph.phase("plan")
 		pts := in.Points
 		if len(excluded) > 0 {
-			pts = make([]geo.Point, len(keep))
-			for ci, i := range keep {
-				pts[ci] = in.Points[i]
-			}
+			pts = compact(pts, keep)
 		}
-		plan, err := planShardsWith(cfg.state, params, ring, pts, cfg.shards)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		if cfg.tracer != nil {
-			plan.OnShard = shardSpans(ph)
-		}
-		if err := auc.SetShardPlan(plan); err != nil {
-			ph.stop()
+		if plan, err = planShardsWith(cfg.state, params, ring, pts, cfg.shards); err != nil {
 			return nil, err
 		}
 	}
 
-	// The graph build is rng-free, so forcing it here (instead of letting
-	// the allocator build it lazily) changes nothing except giving the
-	// phase its own wall-time series.
-	ph.phase("conflict_graph")
-	// Candidate-generation setup (interning, plus inverted-index posting
-	// when unsharded) gets its own child span under conflict_graph, so
-	// traces separate index cost from confirm cost. Metrics-wise it stays
-	// inside the conflict_graph phase.
-	var sp *obs.Span
-	if ph.tracer != nil {
-		sp = ph.tracer.StartSpan("candidate_generation", ph.cur.Context())
-	}
-	auc.PrepareCandidates()
-	sp.End()
-	auc.ConflictGraph()
-
-	ph.phase("allocate")
-	res := &Result{Auctioneer: auc, SubmissionBytes: bytesTotal}
-	switch {
-	case cfg.secondPrice:
-		awards, err := auc.AllocateAwards(rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		out := &auction.Outcome{
-			Assignments: make([]auction.Assignment, len(awards)),
-			Charges:     make([]uint64, len(awards)),
-			Bidders:     n,
-		}
-		for i, aw := range awards {
-			out.Assignments[i] = aw.Assignment
-		}
-		res.Outcome = out
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequestsSecondPrice(awards)))
-	case cfg.interactive:
-		// The validity oracle interleaves TTP round trips with the
-		// allocation sweep, so their cost lands in the allocate phase —
-		// that is the interactive design's point.
-		validity := func(i, r int) bool { return trusted.ValidateAward(auc.SealedBid(i, r)) }
-		assignments, voided, err := auc.AllocateWithValidity(validity, rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		res.Outcome = &auction.Outcome{
-			Assignments: assignments,
-			Charges:     make([]uint64, len(assignments)),
-			Bidders:     n,
-		}
-		res.Voided = len(voided)
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequests(assignments)))
-	default:
-		// Batch charging (the paper's section V.C.2): the allocation
-		// completes blindly, then the TTP adjudicates all winners at once.
-		// A zero that won is voided after the fact — the award already
-		// consumed the bidder's row and the channel slot, which is exactly
-		// the performance cost Fig. 5(e)(f) charts.
-		assignments, err := auc.Allocate(rng)
-		if err != nil {
-			ph.stop()
-			return nil, err
-		}
-		res.Outcome = &auction.Outcome{
-			Assignments: assignments,
-			Charges:     make([]uint64, len(assignments)),
-			Bidders:     n,
-		}
-		ph.phase("charge")
-		tallyCharges(res, trusted.ProcessBatch(auc.ChargeRequests(assignments)))
+	res, err := clearStage(params, locs, subs, rng, trusted, cfg, ph, plan)
+	if err != nil || len(excluded) == 0 {
+		return res, err
 	}
 	// A compacted quorum round allocated over the surviving population;
 	// translate assignment indices back to original bidder ids so callers
-	// see one stable numbering. Outcome.Bidders already counts the full
+	// see one stable numbering. Outcome.Bidders counts the full
 	// population, so excluded bidders depress satisfaction as they should.
-	if len(excluded) > 0 {
-		for i := range res.Outcome.Assignments {
-			res.Outcome.Assignments[i].Bidder = keep[res.Outcome.Assignments[i].Bidder]
-		}
-		res.Excluded = excluded
+	for i := range res.Outcome.Assignments {
+		res.Outcome.Assignments[i].Bidder = keep[res.Outcome.Assignments[i].Bidder]
 	}
-	ph.stop()
-	if ro != nil {
-		ro.note(res, workers, bytesTotal, countDigests(locs, subs))
-	}
+	res.Outcome.Bidders = n
+	res.Excluded = excluded
 	return res, nil
+}
+
+// compact returns the elements of xs at the indices keep, in order.
+func compact[T any](xs []T, keep []int) []T {
+	out := make([]T, len(keep))
+	for ci, i := range keep {
+		out[ci] = xs[i]
+	}
+	return out
 }

@@ -79,7 +79,7 @@ func (s *Series) Run(ring *mask.KeyRing, points []geo.Point, bids [][]uint64,
 	for i := range samplers {
 		samplers[i] = sampler
 	}
-	locs, subs, _, err := encodeSubmissions(s.params, ring, points, bids, samplers, rng, 1)
+	locs, subs, err := encodeSubmissions(s.params, ring, points, bids, samplers, rng, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func TestEncodeTranscriptPinned(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		shape := "seeded/" + string(rune('0'+workers))
 		rng := rand.New(rand.NewSource(roundSeed))
-		locs, subs, _, err := encodeSubmissions(p, ring, points, bids, samplers, rng, workers)
+		locs, subs, err := encodeSubmissions(p, ring, points, bids, samplers, rng, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestEncodeTranscriptPinned(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(roundSeed))
-	locs, subs, _, errs := encodeTolerant(p, ring, points, bids, samplers, rng, 2, 0)
+	locs, subs, errs := encodeTolerant(p, ring, points, bids, samplers, rng, 2, 0)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("tolerant/seeded: bidder %d: %v", i, err)

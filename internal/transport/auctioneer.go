@@ -40,10 +40,12 @@ const (
 )
 
 // AuctioneerServer collects masked submissions from a fixed population of
-// bidders over a listener, runs the private auction, settles charges with
-// the TTP, and pushes each bidder its result on the same connection.
+// bidders over a listener, clears them through the round's auctioneer
+// stage (round.Clear, charging through the remote TTP), and pushes each
+// bidder its result on the same connection.
 //
-// Run one instance per auction round. The server never holds key material.
+// Run one instance per auction round. The server never holds key
+// material, coordinates or plaintext bids.
 //
 // The server survives a hostile network: frames are length-capped and
 // deadline-bounded, resubmissions are deduplicated by (bidder, nonce) so a
@@ -58,14 +60,14 @@ type AuctioneerServer struct {
 	ln      net.Listener
 	log     *slog.Logger
 	rng     *rand.Rand
-	// secondPrice switches charging to the clearing-price rule.
-	secondPrice  bool
+	// roundOpts configure the auctioneer stage: the charging rule, the
+	// metrics registry and the tracer.
+	roundOpts    []round.Option
 	idleTimeout  time.Duration
 	frameTimeout time.Duration
 	straggler    time.Duration
 	admit        func() (bool, time.Duration)
 	onShed       func(time.Duration)
-	reg          *obs.Registry
 	ob           *netObs
 	tracer       *obs.Tracer
 	flight       *obs.FlightRecorder
@@ -148,13 +150,11 @@ func NewAuctioneerServerWithConfig(params core.Params, bidders int, ttpAddr stri
 		ln:           ln,
 		log:          cfg.logger(),
 		rng:          rand.New(rand.NewSource(seed)),
-		secondPrice:  cfg.SecondPrice,
 		idleTimeout:  cfg.idleTimeout(),
 		frameTimeout: cfg.frameTimeout(),
 		straggler:    cfg.StragglerTimeout,
 		admit:        cfg.Admit,
 		onShed:       cfg.OnShed,
-		reg:          cfg.Metrics,
 		ob:           newNetObs(cfg.Metrics, "auctioneer"),
 		tracer:       cfg.Tracer,
 		flight:       cfg.FlightRecorder,
@@ -163,6 +163,10 @@ func NewAuctioneerServerWithConfig(params core.Params, bidders int, ttpAddr stri
 		subs:         make(map[int]Submission, bidders),
 		conns:        make(map[int]*Conn, bidders),
 		done:         make(chan struct{}),
+	}
+	s.roundOpts = []round.Option{round.WithObserver(cfg.Metrics), round.WithTrace(cfg.Tracer)}
+	if cfg.SecondPrice {
+		s.roundOpts = append(s.roundOpts, round.WithSecondPrice())
 	}
 	if s.tracer != nil {
 		s.root = s.tracer.StartTrace("round",
@@ -294,23 +298,35 @@ func (s *AuctioneerServer) submissionCount() int {
 	return len(s.subs)
 }
 
-// startRound transitions to stateRunning, computes the auction over the
-// collected submissions, and delivers results.
+// startRound transitions to stateRunning, clears the collected
+// submissions through the auctioneer stage (round.Clear), and delivers
+// results.
 func (s *AuctioneerServer) startRound() {
 	s.mu.Lock()
 	s.state = stateRunning
-	subs := make(map[int]Submission, len(s.subs))
-	for id, sub := range s.subs {
-		subs[id] = sub
+	ids := make([]int, 0, len(s.subs))
+	for id := range s.subs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	subs := make([]Submission, len(ids))
+	for ci, id := range ids {
+		subs[ci] = s.subs[id]
 	}
 	s.mu.Unlock()
 
-	outcome, results, err := s.runRound(subs)
+	locs := make([]*core.LocationSubmission, len(subs))
+	bids := make([]*core.BidSubmission, len(subs))
+	for ci, sub := range subs {
+		locs[ci], bids[ci] = sub.Parts()
+	}
+	res, err := round.Clear(s.params, locs, bids, s.rng, ttpCharger(s.ttpAddr), s.root, s.roundOpts...)
 	if err != nil {
-		s.log.Error("auctioneer: run round", "err", err)
+		s.log.Error("auctioneer: clear round", "err", err)
 		s.fail(err)
 		return
 	}
+	outcome, results := s.settle(ids, res)
 	s.ob.exclude(len(outcome.Excluded))
 	s.finishTrace("", len(outcome.Excluded) > 0)
 
@@ -331,6 +347,34 @@ func (s *AuctioneerServer) startRound() {
 	}
 	s.outcome = outcome
 	close(s.done)
+}
+
+// settle turns the stage's result over the id-sorted population into
+// per-bidder wire results. A winner the TTP upheld has Won set even when
+// its second-price charge is zero; a voided award or a protocol violation
+// is reported Voided; a bidder without an award lost. Bidders that never
+// submitted are the round's exclusions.
+func (s *AuctioneerServer) settle(ids []int, res *round.Result) (*RoundOutcome, map[int]Result) {
+	results := make(map[int]Result, len(ids))
+	for _, id := range ids {
+		results[id] = Result{BidderID: id}
+	}
+	for i, as := range res.Outcome.Assignments {
+		id := ids[as.Bidder]
+		valid := res.Valid[i]
+		results[id] = Result{BidderID: id, Channel: as.Channel, Won: valid, Price: res.Outcome.Charges[i], Voided: !valid}
+	}
+	outcome := &RoundOutcome{Revenue: res.Outcome.Revenue, Voided: res.Voided + res.Violations}
+	for _, id := range ids {
+		outcome.Results = append(outcome.Results, results[id])
+	}
+	for id := 0; id < s.bidders; id++ {
+		if _, ok := results[id]; !ok {
+			outcome.Excluded = append(outcome.Excluded, id)
+			s.root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
+		}
+	}
+	return outcome, results
 }
 
 // fail abandons the round: every parked bidder connection is told why and
@@ -494,102 +538,4 @@ func (s *AuctioneerServer) receiveSubmission(c *Conn) {
 		s.mu.Unlock()
 		s.rejectConn(c, span, "round failed: "+reason, false)
 	}
-}
-
-// runRound computes the auction over the collected submissions. With a
-// partial population (quorum round) the auction runs over the compacted
-// survivor slice; assignment indices are translated back to original
-// bidder ids before anything leaves this function.
-func (s *AuctioneerServer) runRound(subs map[int]Submission) (*RoundOutcome, map[int]Result, error) {
-	ids := make([]int, 0, len(subs))
-	for id := range subs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
-	locs := make([]*core.LocationSubmission, len(ids))
-	bids := make([]*core.BidSubmission, len(ids))
-	for ci, id := range ids {
-		sub := subs[id]
-		locs[ci], bids[ci] = sub.Parts()
-	}
-	auc, err := core.NewAuctioneer(s.params, locs, bids)
-	if err != nil {
-		return nil, nil, err
-	}
-	auc.SetObserver(s.reg)
-	timer := s.reg.PhaseTimer("lppa_round_phase_seconds", nil)
-	defer timer.Stop()
-	// cur mirrors the timer's current phase as a child span of the round
-	// root; with tracing off every operation is a nil no-op.
-	var cur *obs.Span
-	phase := func(name string) {
-		timer.Phase(name)
-		cur.End()
-		cur = s.tracer.StartSpan(name, s.root.Context())
-	}
-	defer func() { cur.End() }()
-	phase("conflict_graph")
-	auc.ConflictGraph()
-	phase("allocate")
-	var reqs []core.ChargeRequest
-	if s.secondPrice {
-		awards, err := auc.AllocateAwards(s.rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		reqs = auc.ChargeRequestsSecondPrice(awards)
-	} else {
-		assignments, err := auc.Allocate(s.rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		reqs = auc.ChargeRequests(assignments)
-	}
-	phase("charge")
-	wireResults, err := submitChargesRetry(s.ttpAddr, reqs, 3, 100*time.Millisecond)
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: settle with ttp: %w", err)
-	}
-
-	outcome := &RoundOutcome{}
-	for id := 0; id < s.bidders; id++ {
-		if _, ok := subs[id]; !ok {
-			outcome.Excluded = append(outcome.Excluded, id)
-			if s.tracer != nil {
-				s.root.Event("straggler_excluded", obs.L("bidder", strconv.Itoa(id)))
-			}
-		}
-	}
-	results := make(map[int]Result, len(ids))
-	for _, r := range wireResults {
-		if r.Bidder < 0 || r.Bidder >= len(ids) {
-			s.log.Error("auctioneer: ttp result for unknown bidder", "bidder", r.Bidder)
-			continue
-		}
-		id := ids[r.Bidder]
-		res := Result{BidderID: id, Channel: r.Channel}
-		switch {
-		case r.Err != "":
-			res.Voided = true
-			outcome.Voided++
-		case !r.Valid:
-			res.Voided = true
-			outcome.Voided++
-		default:
-			res.Won = true
-			res.Price = r.Price
-			outcome.Revenue += r.Price
-		}
-		results[id] = res
-	}
-	for _, id := range ids {
-		res, ok := results[id]
-		if !ok {
-			res = Result{BidderID: id}
-			results[id] = res
-		}
-		outcome.Results = append(outcome.Results, res)
-	}
-	return outcome, results, nil
 }

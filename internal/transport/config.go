@@ -37,9 +37,14 @@ type Config struct {
 	Logger *slog.Logger
 	// Metrics, when non-nil, records connections accepted, wire bytes
 	// in/out, per-submission service latency, timeout drops, rejected
-	// frames, deduplicated replays, excluded bidders, and — on the
-	// auctioneer — round phase timings plus the core comparison counters.
-	// Nil disables all instrumentation at zero cost.
+	// frames, deduplicated replays and excluded bidders. On the auctioneer
+	// it is also the registry of the round's stage (round.Clear with
+	// round.WithObserver): phase timings under lppa_round_phase_seconds,
+	// the round totals (lppa_rounds_total, lppa_round_winners_total,
+	// lppa_round_revenue_total, lppa_round_voided_total,
+	// lppa_round_violations_total, lppa_round_submission_bytes_total,
+	// lppa_mask_digests_total) and the core comparison counters. Nil
+	// disables all instrumentation at zero cost.
 	Metrics *obs.Registry
 	// SecondPrice switches the auctioneer to clearing-price charging.
 	// Ignored by the TTP server.
@@ -56,9 +61,11 @@ type Config struct {
 	// the pre-hardening behavior. Ignored by the TTP server.
 	StragglerTimeout time.Duration
 	// Tracer, when non-nil, records the server's spans: one root round
-	// span on the auctioneer (with conflict_graph/allocate/charge phase
-	// children) plus a recv_submission span per accepted submission that
-	// parents onto the sender's wire trace context. The auctioneer
+	// span on the auctioneer, owned by the server, with the round stage's
+	// phase children (conflict_graph with its candidate_generation child,
+	// allocate, charge, as round.Clear records them) plus a
+	// recv_submission span per accepted submission that parents onto the
+	// sender's wire trace context. The auctioneer
 	// assumes the tracer is dedicated to one round; reuse a tracer across
 	// rounds only via Named views on the same buffer. Nil disables
 	// tracing at zero cost.

@@ -194,6 +194,31 @@ func FetchKeyRing(addr string) (*mask.KeyRing, error) {
 	return reply.ToRing(), nil
 }
 
+// ttpCharger is the auctioneer stage's charging backend over the wire
+// (round.Charger): it settles a batch with the TTP server at this
+// address and rejects a reply that does not answer the batch.
+type ttpCharger string
+
+// Charge submits reqs under submitChargesRetry's backoff and returns the
+// validated verdicts.
+func (addr ttpCharger) Charge(reqs []core.ChargeRequest) ([]ttp.ChargeResult, error) {
+	wire, err := submitChargesRetry(string(addr), reqs, 3, 100*time.Millisecond)
+	if err != nil {
+		return nil, fmt.Errorf("transport: settle with ttp: %w", err)
+	}
+	if err := (ChargeReply{Results: wire}).Validate(reqs); err != nil {
+		return nil, err
+	}
+	out := make([]ttp.ChargeResult, len(wire))
+	for i, r := range wire {
+		out[i] = ttp.ChargeResult{Bidder: r.Bidder, Channel: r.Channel, Valid: r.Valid, Price: r.Price}
+		if r.Err != "" {
+			out[i].Err = errors.New(r.Err)
+		}
+	}
+	return out, nil
+}
+
 // submitChargesRetry is SubmitCharges with simple capped exponential
 // backoff: the TTP is infrastructure the auctioneer operator controls, so
 // a short blip (restart, connection reset) should not void a whole round

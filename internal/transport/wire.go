@@ -293,6 +293,24 @@ type ChargeReply struct {
 	Results []WireChargeResult
 }
 
+// Validate checks the reply against the batch it answers: exactly one
+// verdict per request, the i-th naming request i's (Bidder, Channel). A
+// reply that fails is rejected whole, before any verdict is tallied — a
+// duplicated verdict would bill a winner twice and a missing one would
+// turn a winner into a loser.
+func (r ChargeReply) Validate(reqs []core.ChargeRequest) error {
+	if len(r.Results) != len(reqs) {
+		return fmt.Errorf("transport: charge reply has %d verdicts for %d requests", len(r.Results), len(reqs))
+	}
+	for i, res := range r.Results {
+		if res.Bidder != reqs[i].Bidder || res.Channel != reqs[i].Channel {
+			return fmt.Errorf("transport: charge verdict %d is for bidder %d channel %d, request was bidder %d channel %d",
+				i, res.Bidder, res.Channel, reqs[i].Bidder, reqs[i].Channel)
+		}
+	}
+	return nil
+}
+
 // ChargeResultsToWire flattens TTP results for transmission.
 func ChargeResultsToWire(rs []ttp.ChargeResult) []WireChargeResult {
 	out := make([]WireChargeResult, len(rs))

@@ -170,3 +170,9 @@ func (t *TTP) ProcessBatch(reqs []core.ChargeRequest) []ChargeResult {
 	}
 	return out
 }
+
+// Charge is ProcessBatch as a round's charging backend (round.Charger):
+// the in-process TTP never fails a batch.
+func (t *TTP) Charge(reqs []core.ChargeRequest) ([]ChargeResult, error) {
+	return t.ProcessBatch(reqs), nil
+}

@@ -48,7 +48,8 @@
 //     interference graph;
 //   - internal/attack, internal/privacy — BCM/BPM and privacy metrics;
 //   - internal/round, internal/transport — in-process and TCP round
-//     orchestration;
+//     orchestration; both clear through one auctioneer stage
+//     (round.Clear), which sees only masked submissions;
 //   - internal/theory, internal/sim — the paper's theorems and the
 //     experiment harness.
 package lppa
@@ -282,11 +283,13 @@ func NewLocationSubmission(params Params, ring *KeyRing, pt Point) (*LocationSub
 // submissions — the only location operation the auctioneer can perform.
 func Conflicts(a, b *LocationSubmission) bool { return core.Conflicts(a, b) }
 
-// Run executes a full LPPA round in-process. The default is the paper's
-// design — one disguise policy for all bidders, batch TTP charging, one
-// goroutine — and functional options select every variant: worker count,
-// per-bidder policies, charging rule, and metrics. A fixed RoundInput.Rng
-// seed fixes the round at every worker count.
+// Run executes a full LPPA round in-process: every bidder's encoding, then
+// the auctioneer stage that the networked AuctioneerServer runs on the
+// submissions it receives. The default is the paper's design — one
+// disguise policy for all bidders, batch TTP charging, one goroutine —
+// and functional options select every variant: worker count, per-bidder
+// policies, charging rule, and metrics. A fixed RoundInput.Rng seed fixes
+// the round at every worker count.
 func Run(params Params, ring *KeyRing, in RoundInput, opts ...RunOption) (*RoundResult, error) {
 	return round.Run(params, ring, in, opts...)
 }
@@ -348,7 +351,8 @@ func NewEpochState() *EpochState { return round.NewEpochState() }
 func WithEpochState(st *EpochState) RunOption { return round.WithEpochState(st) }
 
 // ErrQuorumNotReached reports a round (in-process or networked) that ended
-// with fewer usable submissions than its quorum; test with errors.Is.
+// with fewer usable submissions than its quorum, before the auctioneer
+// stage ran; test with errors.Is.
 var ErrQuorumNotReached = round.ErrQuorumNotReached
 
 // NewRegistry creates an empty metrics registry for WithObserver or the
